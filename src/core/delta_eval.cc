@@ -2,7 +2,6 @@
 
 #include <deque>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "src/xpath/normal_form.h"
@@ -385,17 +384,16 @@ bool TryPatchEval(const DagView& dag, const TopoOrder& topo,
     if (s.kind == NormalStep::Kind::kFilter) has_filter_step = true;
   }
   if (has_filter_step) {
-    std::unordered_set<NodeId> candidates;
+    DenseNodeSet candidates(dag.capacity());
     for (const auto& [u, v] : added_edges) {
       (void)v;
-      candidates.insert(u);
-      const auto& au = reach.Ancestors(u);
-      candidates.insert(au.begin(), au.end());
+      candidates.Add(u);
+      for (NodeId a : reach.Ancestors(u)) candidates.Add(a);
     }
     for (size_t i = 0; i < n; ++i) {
       const NormalStep& s = entry->np.steps[i];
       if (s.kind != NormalStep::Kind::kFilter) continue;
-      for (NodeId x : candidates) {
+      for (NodeId x : candidates.items) {
         if (entry->reached[i].Contains(x) &&
             !entry->reached[i + 1].Contains(x) &&
             filter_eval.Eval(*s.filter, x)) {

@@ -1,7 +1,5 @@
 #include "src/core/evaluator.h"
 
-#include <unordered_set>
-
 namespace xvu {
 
 std::vector<uint8_t> XPathEvaluator::EvalFilter(const FilterExpr& q) const {

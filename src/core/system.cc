@@ -335,10 +335,8 @@ std::string UpdateSystem::DebugFingerprint(bool strict) const {
   }
   out += "\n[reach]\n";
   for (NodeId d = 0; d < dag_.capacity(); ++d) {
-    std::vector<NodeId> anc(engine_.reach().Ancestors(d).begin(),
-                            engine_.reach().Ancestors(d).end());
+    const Reachability::Row& anc = engine_.reach().Ancestors(d);
     if (anc.empty()) continue;
-    std::sort(anc.begin(), anc.end());
     out += ' ';
     out += std::to_string(d);
     out += "<-";

@@ -196,15 +196,16 @@ class UpdateSystem {
   Result<EvalResult> Query(const std::string& xpath) const;
 
   /// MVCC reads. Pins the current read epoch and returns a handle whose
-  /// Eval sees exactly that version, from any thread, with no writer
-  /// blocking: the handle owns an immutable shared copy of the epoch's
-  /// state, so writers never wait on readers and readers never wait on
-  /// writers (acquisition itself briefly serializes with commits on
-  /// `commit_mu_`). The copy is amortized — one per write→read
-  /// transition, reused by every snapshot of the same epoch — and its
-  /// eval memo is carried across epochs by ∆V-journal patching. Writers
-  /// retire an epoch's journal window only once no snapshot pins it
-  /// (EpochRegistry → DagJournal retain floor).
+  /// Eval sees exactly that version, from any thread, without taking a
+  /// system lock: the handle owns an immutable shared copy of the
+  /// epoch's state, so a writer never waits on an evaluation.
+  /// Acquisition itself holds `commit_mu_`, so it waits out a writer
+  /// batch in progress. The first acquire after a commit copies the DAG,
+  /// L and M into a new shared state (about 22 ms at |C| = 5000 — 22.7k
+  /// nodes, 240k M pairs — on a 4-vCPU VM); later acquires of the same
+  /// epoch reuse it. The state's eval memo is carried across epochs by
+  /// ∆V-journal patching. Writers retire an epoch's journal window only
+  /// once no snapshot pins it (EpochRegistry → DagJournal retain floor).
   Snapshot AcquireSnapshot();
 
   /// The published read epoch: dag().version() as of the last committed

@@ -1,7 +1,9 @@
 #include "src/dag/maintenance.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <deque>
+#include <iterator>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -9,19 +11,42 @@ namespace xvu {
 
 std::vector<NodeId> CollectDescOrSelf(const DagView& dag,
                                       const std::vector<NodeId>& roots) {
-  std::unordered_set<NodeId> seen;
-  seen.reserve(roots.size() * 4);
+  std::vector<uint8_t> seen(dag.capacity(), 0);
   std::vector<NodeId> out, stack(roots.begin(), roots.end());
   out.reserve(roots.size() * 2);
   stack.reserve(roots.size() * 2);
   while (!stack.empty()) {
     NodeId v = stack.back();
     stack.pop_back();
-    if (!seen.insert(v).second) continue;
+    if (seen[v]) continue;
+    seen[v] = 1;
     out.push_back(v);
     for (NodeId c : dag.children(v)) stack.push_back(c);
   }
   return out;
+}
+
+const Reachability::Row& StagedAncestorRows::Get(NodeId v) const {
+  auto it = at_.find(v);
+  return it != at_.end() ? rows_[it->second].second : m_->Ancestors(v);
+}
+
+Reachability::Row StagedAncestorRows::Union(
+    const std::vector<NodeId>& parents) {
+  auto get = [this](NodeId p) -> const Reachability::Row& { return Get(p); };
+  return Reachability::UnionOverParents(parents, get, &scratch_);
+}
+
+void StagedAncestorRows::Stage(NodeId v, Reachability::Row row) {
+  at_.emplace(v, rows_.size());
+  rows_.emplace_back(v, std::move(row));
+}
+
+void StagedAncestorRows::ApplyTo(Reachability* m, Reachability::Pairs* added,
+                                 Reachability::Pairs* removed) {
+  m->SetAncestorRows(std::move(rows_), added, removed);
+  rows_.clear();
+  at_.clear();
 }
 
 namespace {
@@ -64,7 +89,6 @@ Status MaintainInsert(const DagView& dag, NodeId subtree_root,
                       TopoOrder* l, MaintenanceDelta* delta) {
   // D = desc-or-self(subtree_root): the subtree's node set, and the
   // induced subgraph is closed under paths between its members.
-  m->Reserve(dag.capacity());
   std::vector<NodeId> subtree = CollectDescOrSelf(dag, {subtree_root});
   std::vector<NodeId> ltree = InducedTopo(dag, subtree);
   if (ltree.size() != subtree.size()) {
@@ -73,32 +97,48 @@ Status MaintainInsert(const DagView& dag, NodeId subtree_root,
   std::unordered_set<NodeId> in_subtree(subtree.begin(), subtree.end());
 
   // (1) ∆M, part one: reachability closure inside the subtree (Algorithm
-  // Reach restricted to the induced subgraph; inserts are idempotent for
-  // pairs of pre-existing shared nodes).
+  // Reach restricted to the induced subgraph). Ancestors first, each
+  // node's row grows by {p} ∪ row(p) over its in-subtree parents, read
+  // from the rows grown so far; rows that gain nothing (pairs among
+  // pre-existing shared nodes) are skipped. All grown rows are applied in
+  // one bulk update.
+  StagedAncestorRows grown(m);
+  std::vector<NodeId> in_parents;
   for (size_t k = ltree.size(); k > 0; --k) {
     NodeId d = ltree[k - 1];
+    in_parents.clear();
     for (NodeId p : dag.parents(d)) {
-      if (in_subtree.count(p) == 0) continue;
-      if (m->Insert(p, d)) delta->m_inserted.emplace_back(p, d);
-      for (NodeId a : m->Ancestors(p)) {
-        if (m->Insert(a, d)) delta->m_inserted.emplace_back(a, d);
-      }
+      if (in_subtree.count(p) > 0) in_parents.push_back(p);
     }
+    if (in_parents.empty()) continue;
+    Reachability::Row via = grown.Union(in_parents);
+    const Reachability::Row& old = m->Ancestors(d);
+    if (std::includes(old.begin(), old.end(), via.begin(), via.end())) {
+      continue;
+    }
+    Reachability::Row row;
+    row.reserve(old.size() + via.size());
+    std::set_union(old.begin(), old.end(), via.begin(), via.end(),
+                   std::back_inserter(row));
+    grown.Stage(d, std::move(row));
   }
+  grown.ApplyTo(m, &delta->m_inserted, nullptr);
 
   // (2) ∆M, part two (Fig.7 lines 4-5): cross pairs — every ancestor-or-
   // self of a target reaches every subtree node through the connect edge.
-  std::unordered_set<NodeId> anc_targets(targets.begin(), targets.end());
+  // One product insert: a merge per touched row, never a per-pair insert
+  // into a long descendant row.
+  Reachability::Row anc_targets(targets.begin(), targets.end());
   for (NodeId u : targets) {
-    const auto& au = m->Ancestors(u);
-    anc_targets.insert(au.begin(), au.end());
+    const Reachability::Row& au = m->Ancestors(u);
+    anc_targets.insert(anc_targets.end(), au.begin(), au.end());
   }
-  for (NodeId a : anc_targets) {
-    for (NodeId d : subtree) {
-      if (a == d) continue;
-      if (m->Insert(a, d)) delta->m_inserted.emplace_back(a, d);
-    }
-  }
+  std::sort(anc_targets.begin(), anc_targets.end());
+  anc_targets.erase(std::unique(anc_targets.begin(), anc_targets.end()),
+                    anc_targets.end());
+  Reachability::Row desc_root(subtree.begin(), subtree.end());
+  std::sort(desc_root.begin(), desc_root.end());
+  m->InsertProduct(anc_targets, desc_root, &delta->m_inserted);
 
   // (3) L: merge the new nodes children-first, each immediately after its
   // rightmost (max-position) child; a parentless/childless new node goes
@@ -140,12 +180,13 @@ Status MaintainDelete(DagView* dag, const std::vector<NodeId>& targets,
   // (stale) matrix — the DAG has already lost the deleted edges, so a DFS
   // there would miss newly orphaned regions. Sorted by L and scanned
   // backwards so every node is processed after all of its ancestors.
-  std::unordered_set<NodeId> lr_set(targets.begin(), targets.end());
+  std::vector<NodeId> lr(targets.begin(), targets.end());
   for (NodeId v : targets) {
-    const auto& dv = m->Descendants(v);
-    lr_set.insert(dv.begin(), dv.end());
+    const Reachability::Row& dv = m->Descendants(v);
+    lr.insert(lr.end(), dv.begin(), dv.end());
   }
-  std::vector<NodeId> lr(lr_set.begin(), lr_set.end());
+  std::sort(lr.begin(), lr.end());
+  lr.erase(std::unique(lr.begin(), lr.end()), lr.end());
   std::sort(lr.begin(), lr.end(), [&](NodeId a, NodeId b) {
     return l->PositionOf(a) < l->PositionOf(b);
   });
@@ -157,26 +198,27 @@ Status MaintainDelete(DagView* dag, const std::vector<NodeId>& targets,
     return it == keep.end() || it->second;
   };
 
+  // Each affected node's ancestor row is recomputed from its surviving
+  // parents' new rows, then all replacements are applied in one bulk
+  // update.
+  StagedAncestorRows rows(m);
+  std::vector<NodeId> kept_parents;
   for (size_t k = lr.size(); k > 0; --k) {
     NodeId d = lr[k - 1];
     if (d == dag->root()) continue;  // the root is never collected
     // P_d: surviving parents (deleted edges are already gone from dag).
-    std::unordered_set<NodeId> ad;
-    bool has_parent = false;
+    kept_parents.clear();
     for (NodeId a : dag->parents(d)) {
-      if (!is_kept(a)) continue;
-      has_parent = true;
-      ad.insert(a);
-      const auto& aa = m->Ancestors(a);
-      ad.insert(aa.begin(), aa.end());
+      if (is_kept(a)) kept_parents.push_back(a);
     }
-    m->SetAncestors(d, std::move(ad), &delta->m_deleted);
-    if (!has_parent) {
+    rows.Stage(d, rows.Union(kept_parents));
+    if (kept_parents.empty()) {
       keep[d] = false;
       l->Remove(d);
       for (NodeId c : dag->children(d)) delta->orphan_edges.emplace_back(d, c);
     }
   }
+  rows.ApplyTo(m, nullptr, &delta->m_deleted);
 
   // Garbage collection: drop the orphan edges, then the dead nodes.
   for (const auto& [u, v] : delta->orphan_edges) {
@@ -201,10 +243,11 @@ Status MaintainBatch(DagView* dag, Reachability* m, TopoOrder* l,
       dag->root() == kInvalidNode
           ? std::vector<NodeId>{}
           : CollectDescOrSelf(*dag, {dag->root()});
-  std::unordered_set<NodeId> live(reachable.begin(), reachable.end());
+  std::vector<uint8_t> live(dag->capacity(), 0);
+  for (NodeId v : reachable) live[v] = 1;
   std::vector<NodeId> doomed;
   for (NodeId v : dag->LiveNodes()) {
-    if (live.count(v) == 0) doomed.push_back(v);
+    if (!live[v]) doomed.push_back(v);
   }
   // Every incoming edge of a doomed node originates at a doomed node (a
   // live parent would make it reachable), so removing all doomed nodes'

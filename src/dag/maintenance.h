@@ -1,6 +1,7 @@
 #ifndef XVU_DAG_MAINTENANCE_H_
 #define XVU_DAG_MAINTENANCE_H_
 
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -25,6 +26,32 @@ struct MaintenanceDelta {
   /// Nodes that became unreachable and were tombstoned (their gen_A rows
   /// are reclaimed by the background garbage collector of Section 2.3).
   std::vector<NodeId> removed_nodes;
+};
+
+/// Replacement ancestor rows staged for one Reachability::SetAncestorRows
+/// call by a pass that recomputes rows ancestors first: Get() returns a
+/// node's staged row if it has one, else M's current row, so each row is
+/// computed from its parents' new rows while M stays untouched until
+/// ApplyTo.
+class StagedAncestorRows {
+ public:
+  explicit StagedAncestorRows(const Reachability* m) : m_(m) {}
+
+  const Reachability::Row& Get(NodeId v) const;
+  /// The Fig.4 recurrence for one node over `parents`, read through Get().
+  Reachability::Row Union(const std::vector<NodeId>& parents);
+  /// Stages `row` as v's replacement; v must not be staged yet.
+  void Stage(NodeId v, Reachability::Row row);
+  /// Applies every staged row to `m` in one bulk update and clears the
+  /// stage.
+  void ApplyTo(Reachability* m, Reachability::Pairs* added,
+               Reachability::Pairs* removed);
+
+ private:
+  const Reachability* m_;
+  std::vector<std::pair<NodeId, Reachability::Row>> rows_;
+  std::unordered_map<NodeId, size_t> at_;
+  Reachability::Row scratch_;
 };
 
 /// Algorithm ∆(M,L)insert (Fig.7).

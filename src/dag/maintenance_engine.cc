@@ -1,6 +1,7 @@
 #include "src/dag/maintenance_engine.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <deque>
 #include <set>
 #include <unordered_map>
@@ -141,9 +142,10 @@ Status MaintenanceEngine::IncrementalMerge(
     // Pre-existing structure was removed: anything may have come loose;
     // sweep from the root.
     std::vector<NodeId> reachable = CollectDescOrSelf(*dag, {dag->root()});
-    std::unordered_set<NodeId> live(reachable.begin(), reachable.end());
+    std::vector<uint8_t> live(dag->capacity(), 0);
+    for (NodeId v : reachable) live[v] = 1;
     for (NodeId v : dag->LiveNodes()) {
-      if (live.count(v) == 0) doomed.push_back(v);
+      if (!live[v]) doomed.push_back(v);
     }
   } else if (!fresh_nodes.empty()) {
     // No pre-existing edge or node was (net-)removed, so every old node
@@ -222,48 +224,26 @@ Status MaintenanceEngine::IncrementalMerge(
                        InducedTopoAncestorsFirst(*dag, affected));
 
   // (4) Replay the Fig.4 recurrence over the affected region only,
-  // ancestors first, diffing against the stale sets to emit the true ∆M.
-  reach_.Reserve(dag->capacity());
+  // ancestors first: each node's fresh row is built from its parents' new
+  // rows, and rows that did not change are dropped. All replacements are
+  // then applied in one bulk update, whose diff against the stale rows
+  // emits the true ∆M.
+  StagedAncestorRows rows(&reach_);
   for (NodeId x : order) {
-    std::unordered_set<NodeId> fresh;
-    for (NodeId p : dag->parents(x)) {
-      fresh.insert(p);
-      const auto& ap = reach_.Ancestors(p);
-      fresh.insert(ap.begin(), ap.end());
-    }
-    const auto& old_anc = reach_.Ancestors(x);
-    std::vector<NodeId> to_del, to_ins;
-    for (NodeId a : old_anc) {
-      if (fresh.count(a) == 0) to_del.push_back(a);
-    }
-    for (NodeId a : fresh) {
-      if (old_anc.count(a) == 0) to_ins.push_back(a);
-    }
-    for (NodeId a : to_del) {
-      reach_.Erase(a, x);
-      delta->m_deleted.emplace_back(a, x);
-    }
-    for (NodeId a : to_ins) {
-      reach_.Insert(a, x);
-      delta->m_inserted.emplace_back(a, x);
-    }
+    Reachability::Row fresh = rows.Union(dag->parents(x));
+    if (fresh != reach_.Ancestors(x)) rows.Stage(x, std::move(fresh));
   }
+  rows.ApplyTo(&reach_, &delta->m_inserted, &delta->m_deleted);
 
   // (5) Tombstoned nodes are not in the affected region (they are
   // unreachable); clear their residual pairs explicitly. Most are already
   // gone via the symmetric bookkeeping of step (4).
+  Reachability::Pairs residual;
   for (NodeId v : stale_nodes) {
-    std::vector<NodeId> anc(reach_.Ancestors(v).begin(),
-                            reach_.Ancestors(v).end());
-    for (NodeId a : anc) {
-      if (reach_.Erase(a, v)) delta->m_deleted.emplace_back(a, v);
-    }
-    std::vector<NodeId> desc(reach_.Descendants(v).begin(),
-                             reach_.Descendants(v).end());
-    for (NodeId d : desc) {
-      if (reach_.Erase(v, d)) delta->m_deleted.emplace_back(v, d);
-    }
+    for (NodeId a : reach_.Ancestors(v)) residual.emplace_back(a, v);
+    for (NodeId d : reach_.Descendants(v)) residual.emplace_back(v, d);
   }
+  reach_.ErasePairs(residual, &delta->m_deleted);
 
   // (6) L: one linear Kahn pass over the cleaned DAG. This is O(|V|+|E|)
   // — negligible next to the superlinear M work the merge avoids — and

@@ -141,10 +141,13 @@ uint64_t HistogramSnapshot::Quantile(double q) const {
   uint64_t rank = static_cast<uint64_t>(q * static_cast<double>(count));
   if (static_cast<double>(rank) < q * static_cast<double>(count)) ++rank;
   if (rank < 1) rank = 1;
+  // A bucket's upper bound can exceed every recording in it, so the
+  // answer is capped at the observed max. It never falls below min: the
+  // bucket holds a recording v >= min, and its upper bound is >= v.
   uint64_t seen = 0;
   for (size_t b = 0; b < buckets.size(); ++b) {
     seen += buckets[b];
-    if (seen >= rank) return Histogram::BucketUpperBound(b);
+    if (seen >= rank) return std::min(Histogram::BucketUpperBound(b), max);
   }
   return max;
 }

@@ -66,10 +66,11 @@ struct HistogramSnapshot {
   void Merge(const HistogramSnapshot& other);
 
   /// Nearest-rank quantile, resolved to the upper bound of the bucket
-  /// holding the rank-⌈q·count⌉ recording. Exactly
-  /// BucketUpperBound(BucketIndex(v*)) for the oracle value v* — the
-  /// contract obs_test checks against a sorted-vector oracle. q is
-  /// clamped to (0, 1]; returns 0 on an empty histogram.
+  /// holding the rank-⌈q·count⌉ recording and clamped to the observed
+  /// [min, max]. Exactly min(BucketUpperBound(BucketIndex(v*)), max) for
+  /// the oracle value v* — the contract obs_test checks against a
+  /// sorted-vector oracle. q is clamped to (0, 1]; returns 0 on an empty
+  /// histogram.
   uint64_t Quantile(double q) const;
   uint64_t P50() const { return Quantile(0.50); }
   uint64_t P95() const { return Quantile(0.95); }

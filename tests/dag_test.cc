@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "src/common/rng.h"
 #include "src/dag/dag_view.h"
 #include "src/dag/reachability.h"
 #include "src/dag/topo_order.h"
@@ -177,29 +184,257 @@ TEST(Reachability, StrictAndTransitive) {
 
 TEST(Reachability, InsertEraseBookkeeping) {
   Reachability m;
-  EXPECT_TRUE(m.Insert(1, 2));
-  EXPECT_FALSE(m.Insert(1, 2));  // duplicate
-  EXPECT_FALSE(m.Insert(3, 3));  // reflexive pairs refused
+  Reachability::Pairs added, removed;
+  m.InsertProduct({1}, {2}, &added);
+  EXPECT_EQ(added, (Reachability::Pairs{{1, 2}}));
+  added.clear();
+  m.InsertProduct({1}, {2}, &added);  // duplicate
+  m.InsertProduct({3}, {3}, &added);  // reflexive pairs refused
+  EXPECT_TRUE(added.empty());
   EXPECT_EQ(m.size(), 1u);
-  EXPECT_TRUE(m.Descendants(1).count(2) > 0);
-  EXPECT_TRUE(m.Ancestors(2).count(1) > 0);
-  EXPECT_TRUE(m.Erase(1, 2));
-  EXPECT_FALSE(m.Erase(1, 2));
+  EXPECT_EQ(m.Descendants(1), Reachability::Row{2});
+  EXPECT_EQ(m.Ancestors(2), Reachability::Row{1});
+  m.ErasePairs(Reachability::Pairs{{1, 2}}, &removed);
+  EXPECT_EQ(removed, (Reachability::Pairs{{1, 2}}));
+  removed.clear();
+  m.ErasePairs(Reachability::Pairs{{1, 2}}, &removed);
+  EXPECT_TRUE(removed.empty());
   EXPECT_EQ(m.size(), 0u);
 }
 
-TEST(Reachability, SetAncestorsReportsRemovals) {
+TEST(Reachability, SetAncestorRowsReportsChanges) {
   Reachability m;
-  m.Insert(1, 5);
-  m.Insert(2, 5);
-  m.Insert(3, 5);
-  std::vector<std::pair<NodeId, NodeId>> removed;
-  m.SetAncestors(5, {2}, &removed);
-  EXPECT_EQ(removed.size(), 2u);
-  EXPECT_EQ(m.size(), 1u);
+  m.InsertProduct({1, 2, 3}, {5}, nullptr);
+  std::vector<std::pair<NodeId, Reachability::Row>> rows;
+  rows.emplace_back(5, Reachability::Row{2, 4});
+  Reachability::Pairs added, removed;
+  m.SetAncestorRows(std::move(rows), &added, &removed);
+  EXPECT_EQ(added, (Reachability::Pairs{{4, 5}}));
+  EXPECT_EQ(removed, (Reachability::Pairs{{1, 5}, {3, 5}}));
+  EXPECT_EQ(m.size(), 2u);
   EXPECT_TRUE(m.IsAncestor(2, 5));
   EXPECT_FALSE(m.IsAncestor(1, 5));
   EXPECT_TRUE(m.Descendants(1).empty());
+  EXPECT_EQ(m.Descendants(4), Reachability::Row{5});
+}
+
+// ---------------------------------------------------------------------------
+// Row-model fuzz: random bulk row updates, single pairs and single rows
+// among them, applied both to Reachability and to a std::set of
+// (anc, desc) pairs. Repeated products
+// under a few hub ancestors push their descendant rows to thousands of
+// ids, so the merge and remove passes run against long rows.
+// ---------------------------------------------------------------------------
+
+using PairSet = std::set<std::pair<NodeId, NodeId>>;
+
+constexpr NodeId kFuzzIds = 5000;
+constexpr NodeId kHubs = 4;
+
+/// k random ids below kFuzzIds, sorted and duplicate-free, without `skip`.
+Reachability::Row RandomRow(Rng* rng, size_t k, NodeId skip = kInvalidNode) {
+  Reachability::Row row;
+  for (size_t i = 0; i < k; ++i) {
+    row.push_back(static_cast<NodeId>(rng->Below(kFuzzIds)));
+  }
+  std::sort(row.begin(), row.end());
+  row.erase(std::unique(row.begin(), row.end()), row.end());
+  row.erase(std::remove(row.begin(), row.end(), skip), row.end());
+  return row;
+}
+
+Reachability::Pairs Sorted(Reachability::Pairs v) {
+  std::sort(v.begin(), v.end());
+  return v;
+}
+
+bool StrictlyIncreasing(const Reachability::Row& row) {
+  for (size_t i = 1; i < row.size(); ++i) {
+    if (row[i - 1] >= row[i]) return false;
+  }
+  return true;
+}
+
+bool Holds(const Reachability::Row& row, NodeId x) {
+  return std::binary_search(row.begin(), row.end(), x);
+}
+
+/// Rows strictly increasing, anc and desc rows mirroring each other, and
+/// the pair set and size() equal to the reference.
+void ExpectRowModel(const Reachability& m, const PairSet& ref,
+                    const std::string& ctx) {
+  ASSERT_EQ(m.size(), ref.size()) << ctx;
+  size_t anc_total = 0, desc_total = 0;
+  auto it = ref.begin();
+  for (NodeId v = 0; v < kFuzzIds; ++v) {
+    const Reachability::Row& anc = m.Ancestors(v);
+    const Reachability::Row& desc = m.Descendants(v);
+    ASSERT_TRUE(StrictlyIncreasing(anc))
+        << ctx << ": ancestor row of " << v << " not strictly increasing";
+    ASSERT_TRUE(StrictlyIncreasing(desc))
+        << ctx << ": descendant row of " << v << " not strictly increasing";
+    for (NodeId a : anc) {
+      ASSERT_TRUE(Holds(m.Descendants(a), v))
+          << ctx << ": (" << a << "," << v << ") missing from desc rows";
+    }
+    // ref is ordered by (anc, desc): its run for v is v's descendant row.
+    for (NodeId d : desc) {
+      ASSERT_TRUE(it != ref.end() && *it == std::make_pair(v, d))
+          << ctx << ": (" << v << "," << d << ") not in the reference";
+      ++it;
+    }
+    anc_total += anc.size();
+    desc_total += desc.size();
+  }
+  EXPECT_TRUE(it == ref.end()) << ctx << ": reference pairs missing from M";
+  EXPECT_EQ(anc_total, m.size()) << ctx;
+  EXPECT_EQ(desc_total, m.size()) << ctx;
+}
+
+TEST(Reachability, RowModelFuzzMatchesPairSetReference) {
+  for (uint64_t seed = 1; seed <= 2; ++seed) {
+    Rng rng(seed * 7919);
+    Reachability m;
+    PairSet ref;
+    size_t longest = 0;  // longest hub descendant row seen
+    // Random pairs biased towards those already held, so erasures and
+    // row replacements hit.
+    auto held_or_random = [&]() -> std::pair<NodeId, NodeId> {
+      NodeId d = static_cast<NodeId>(rng.Below(kFuzzIds));
+      const Reachability::Row& anc = m.Ancestors(d);
+      if (!anc.empty() && rng.Chance(0.7)) {
+        return {anc[rng.Below(anc.size())], d};
+      }
+      return {static_cast<NodeId>(rng.Below(kFuzzIds)), d};
+    };
+    for (int step = 0; step < 150; ++step) {
+      std::string ctx =
+          "seed " + std::to_string(seed) + " step " + std::to_string(step);
+      switch (rng.Below(6)) {
+        case 0: {
+          auto [a, d] = held_or_random();
+          Reachability::Pairs want_added, added;
+          if (a != d && ref.emplace(a, d).second) {
+            want_added.emplace_back(a, d);
+          }
+          m.InsertProduct({a}, {d}, &added);
+          EXPECT_EQ(added, want_added) << ctx;
+          break;
+        }
+        case 1: {
+          auto [a, d] = held_or_random();
+          Reachability::Pairs want_removed, removed;
+          if (ref.erase({a, d}) > 0) want_removed.emplace_back(a, d);
+          m.ErasePairs(Reachability::Pairs{{a, d}}, &removed);
+          EXPECT_EQ(removed, want_removed) << ctx;
+          break;
+        }
+        case 2: {
+          NodeId d = static_cast<NodeId>(rng.Below(kFuzzIds));
+          Reachability::Row row = RandomRow(&rng, rng.Below(64), d);
+          Reachability::Pairs want_added, want_removed;
+          for (NodeId a : m.Ancestors(d)) {
+            if (!Holds(row, a)) {
+              want_removed.emplace_back(a, d);
+              ref.erase({a, d});
+            }
+          }
+          for (NodeId a : row) {
+            if (ref.emplace(a, d).second) want_added.emplace_back(a, d);
+          }
+          std::vector<std::pair<NodeId, Reachability::Row>> rows;
+          rows.emplace_back(d, std::move(row));
+          Reachability::Pairs added, removed;
+          m.SetAncestorRows(std::move(rows), &added, &removed);
+          EXPECT_EQ(Sorted(added), Sorted(want_added)) << ctx;
+          EXPECT_EQ(Sorted(removed), Sorted(want_removed)) << ctx;
+          break;
+        }
+        case 3: {
+          // A few hub ancestors over up to 2000 descendants: repeated
+          // products grow the hubs' descendant rows to thousands of ids.
+          Reachability::Row anc;
+          for (size_t i = 1 + rng.Below(4); i > 0; --i) {
+            anc.push_back(static_cast<NodeId>(rng.Below(kHubs)));
+          }
+          std::sort(anc.begin(), anc.end());
+          anc.erase(std::unique(anc.begin(), anc.end()), anc.end());
+          Reachability::Row desc = RandomRow(&rng, rng.Below(2000));
+          Reachability::Pairs want_added;
+          for (NodeId a : anc) {
+            for (NodeId d : desc) {
+              if (a != d && ref.emplace(a, d).second) {
+                want_added.emplace_back(a, d);
+              }
+            }
+          }
+          Reachability::Pairs added;
+          m.InsertProduct(anc, desc, &added);
+          EXPECT_EQ(Sorted(added), Sorted(want_added)) << ctx;
+          break;
+        }
+        case 4: {
+          Reachability::Pairs pairs, want_removed;
+          size_t k = rng.Below(3000);
+          for (size_t i = 0; i < k; ++i) pairs.push_back(held_or_random());
+          for (const auto& p : pairs) {
+            if (ref.erase(p) > 0) want_removed.push_back(p);
+          }
+          Reachability::Pairs removed;
+          m.ErasePairs(pairs, &removed);
+          EXPECT_EQ(Sorted(removed), Sorted(want_removed)) << ctx;
+          break;
+        }
+        case 5: {
+          Reachability::Row ds = RandomRow(&rng, 1 + rng.Below(40));
+          std::vector<std::pair<NodeId, Reachability::Row>> rows;
+          Reachability::Pairs want_added, want_removed;
+          for (NodeId d : ds) {
+            Reachability::Row row = RandomRow(&rng, rng.Below(200), d);
+            for (NodeId a : m.Ancestors(d)) {
+              if (!Holds(row, a)) {
+                want_removed.emplace_back(a, d);
+                ref.erase({a, d});
+              }
+            }
+            for (NodeId a : row) {
+              if (ref.emplace(a, d).second) want_added.emplace_back(a, d);
+            }
+            rows.emplace_back(d, std::move(row));
+          }
+          Reachability::Pairs added, removed;
+          m.SetAncestorRows(std::move(rows), &added, &removed);
+          EXPECT_EQ(Sorted(added), Sorted(want_added)) << ctx;
+          EXPECT_EQ(Sorted(removed), Sorted(want_removed)) << ctx;
+          break;
+        }
+      }
+      ExpectRowModel(m, ref, ctx);
+      if (HasFatalFailure()) return;
+      for (NodeId h = 0; h < kHubs; ++h) {
+        longest = std::max(longest, m.Descendants(h).size());
+      }
+    }
+    EXPECT_GT(longest, 2000u) << "seed " << seed << ": no long row reached";
+
+    // Finally replace every ancestor row with that of a random DAG's
+    // closure over the same ids: whatever the fuzzed state, the bulk
+    // replacement must land exactly on ComputeNaive, descendant rows and
+    // size included.
+    DagView dag = RandomDag(kFuzzIds, 0.1, seed);
+    Reachability naive = Reachability::ComputeNaive(dag);
+    std::vector<std::pair<NodeId, Reachability::Row>> rows;
+    for (NodeId v = 0; v < kFuzzIds; ++v) {
+      rows.emplace_back(v, naive.Ancestors(v));
+    }
+    m.SetAncestorRows(std::move(rows), nullptr, nullptr);
+    EXPECT_TRUE(m == naive) << "seed " << seed;
+    PairSet closure;
+    for (NodeId a = 0; a < kFuzzIds; ++a) {
+      for (NodeId d : naive.Descendants(a)) closure.emplace(a, d);
+    }
+    ExpectRowModel(m, closure, "seed " + std::to_string(seed) + " closure");
+  }
 }
 
 TEST(TopoOrder, SwapRestoresOrderAfterEdgeInsert) {
@@ -218,15 +453,11 @@ TEST(TopoOrder, SwapRestoresOrderAfterEdgeInsert) {
         if (m.IsAncestor(v, u) || dag.HasEdge(u, v)) continue;
         dag.AddEdge(u, v);
         // Update M: anc-or-self(u) x desc-or-self(v).
-        std::vector<NodeId> ancs(m.Ancestors(u).begin(),
-                                 m.Ancestors(u).end());
-        ancs.push_back(u);
-        std::vector<NodeId> descs(m.Descendants(v).begin(),
-                                  m.Descendants(v).end());
-        descs.push_back(v);
-        for (NodeId a : ancs) {
-          for (NodeId d : descs) m.Insert(a, d);
-        }
+        Reachability::Row ancs = m.Ancestors(u);
+        ancs.insert(std::lower_bound(ancs.begin(), ancs.end(), u), u);
+        Reachability::Row descs = m.Descendants(v);
+        descs.insert(std::lower_bound(descs.begin(), descs.end(), v), v);
+        m.InsertProduct(ancs, descs, nullptr);
         topo->Swap(u, v, m);
         EXPECT_TRUE(topo->Check(dag).ok()) << "seed " << seed;
         done = true;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/core/delta_eval.h"
+#include "src/core/evaluator.h"
 #include "src/core/pipeline.h"
 #include "src/core/system.h"
 #include "src/dag/maintenance_engine.h"
@@ -164,6 +165,22 @@ TEST(MaintenanceEngineFuzz, IncrementalMergeMatchesFullRebuild) {
       }
       for (const auto& [a, d] : inc_report.delta.m_deleted) {
         EXPECT_FALSE(inc_engine.reach().IsAncestor(a, d)) << ctx;
+      }
+      // (e) Evaluation order is canonical: sorted rows make every walk of
+      // M independent of the mutation history that built it, so the
+      // maintained and the rebuilt M yield identical vectors, order
+      // included, over the same DAG and L.
+      XPathEvaluator on_inc(&inc_dag, &inc_engine.topo(), &inc_engine.reach());
+      XPathEvaluator on_full(&inc_dag, &inc_engine.topo(),
+                             &full_engine.reach());
+      for (const char* xp : {"//a", "//b//n", "//*[a]//b", "//a[not(b)]//*"}) {
+        auto a = on_inc.Evaluate(P(xp));
+        auto b = on_full.Evaluate(P(xp));
+        ASSERT_TRUE(a.ok() && b.ok()) << ctx << " " << xp;
+        EXPECT_EQ(a->selected, b->selected) << ctx << " " << xp;
+        EXPECT_EQ(a->parent_edges, b->parent_edges) << ctx << " " << xp;
+        EXPECT_EQ(a->side_effect_nodes, b->side_effect_nodes)
+            << ctx << " " << xp;
       }
       // GC must keep the probe aligned with the maintained views.
       probe = inc_dag;

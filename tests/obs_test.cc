@@ -15,15 +15,16 @@ namespace obs {
 namespace {
 
 // The quantile contract under test: Quantile(q) resolves the rank-⌈q·n⌉
-// recording to its bucket's upper bound, so the expected value for a
-// sorted oracle vector is computable without touching histogram
-// internals.
+// recording to its bucket's upper bound, clamped to the largest
+// recording, so the expected value for a sorted oracle vector is
+// computable without touching histogram internals.
 uint64_t OracleQuantile(const std::vector<uint64_t>& sorted, double q) {
   uint64_t rank =
       static_cast<uint64_t>(std::ceil(q * static_cast<double>(sorted.size())));
   if (rank < 1) rank = 1;
-  return Histogram::BucketUpperBound(
+  uint64_t bound = Histogram::BucketUpperBound(
       Histogram::BucketIndex(sorted[rank - 1]));
+  return std::min(bound, sorted.back());
 }
 
 TEST(HistogramBuckets, SmallValuesAreExact) {
@@ -46,7 +47,9 @@ TEST(HistogramBuckets, IndexIsMonotoneAndInverseOfUpperBound) {
     EXPECT_GE(upper, v);
     // The upper bound is the largest value still mapping to idx.
     EXPECT_EQ(Histogram::BucketIndex(upper), idx);
-    if (upper != ~0ull) EXPECT_GT(Histogram::BucketIndex(upper + 1), idx);
+    if (upper != ~0ull) {
+      EXPECT_GT(Histogram::BucketIndex(upper + 1), idx);
+    }
   }
 }
 
@@ -86,6 +89,27 @@ TEST(Histogram, QuantilesMatchSortedVectorOracle) {
           << "n=" << n << " q=" << q;
     }
   }
+}
+
+TEST(Histogram, QuantilesNeverExceedTheObservedMax) {
+  // Every recording sits strictly below its bucket's upper bound, so an
+  // unclamped quantile would report more than was ever recorded.
+  std::vector<uint64_t> vals = {100, 1000, 116461};
+  Histogram h;
+  for (uint64_t v : vals) {
+    ASSERT_GT(Histogram::BucketUpperBound(Histogram::BucketIndex(v)), v);
+    h.Record(v);
+  }
+  HistogramSnapshot s = h.Snapshot();
+  EXPECT_EQ(s.max, vals.back());
+  for (double q : {0.01, 0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_EQ(s.Quantile(q), OracleQuantile(vals, q)) << "q=" << q;
+    EXPECT_GE(s.Quantile(q), s.min) << "q=" << q;
+    EXPECT_LE(s.Quantile(q), s.max) << "q=" << q;
+  }
+  // The top rank resolves to the max itself, not its bucket's bound.
+  EXPECT_EQ(s.Quantile(1.0), vals.back());
+  EXPECT_EQ(s.P99(), vals.back());
 }
 
 TEST(Histogram, EmptySnapshotIsAllZero) {
