@@ -153,11 +153,6 @@ const std::vector<std::string>& FailPoints::AllSites() {
       failpoints::kBatchBeforeMaintain,
       failpoints::kBatchMaintain,
       failpoints::kBatchReclaim,
-      failpoints::kInsertApplyDeltaR,
-      failpoints::kInsertPublish,
-      failpoints::kInsertMaintain,
-      failpoints::kDeleteApplyDeltaR,
-      failpoints::kDeleteMaintain,
       failpoints::kJournalAppend,
       failpoints::kMaintainMerge,
       failpoints::kThreadPoolSpawn,

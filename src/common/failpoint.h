@@ -109,7 +109,8 @@ class FailPoints {
 /// Compiled-in injection site names. Grouped by subsystem; each name
 /// appears in FailPoints::AllSites() and docs/robustness.md.
 namespace failpoints {
-// ApplyBatch phase boundaries (pipeline.cc).
+// Write-path phase boundaries (pipeline.cc): every batch and every
+// statement, which runs as a batch of one op.
 inline constexpr char kBatchAfterEval[] = "batch.after_eval";
 inline constexpr char kBatchAfterConflicts[] = "batch.after_conflicts";
 inline constexpr char kBatchAfterTranslate[] = "batch.after_translate";
@@ -119,12 +120,6 @@ inline constexpr char kBatchApplyConnect[] = "batch.apply.connect";
 inline constexpr char kBatchBeforeMaintain[] = "batch.before_maintain";
 inline constexpr char kBatchMaintain[] = "batch.maintain";
 inline constexpr char kBatchReclaim[] = "batch.reclaim";
-// Single-op write paths (system.cc).
-inline constexpr char kInsertApplyDeltaR[] = "insert.apply_delta_r";
-inline constexpr char kInsertPublish[] = "insert.publish";
-inline constexpr char kInsertMaintain[] = "insert.maintain";
-inline constexpr char kDeleteApplyDeltaR[] = "delete.apply_delta_r";
-inline constexpr char kDeleteMaintain[] = "delete.maintain";
 // Journal append boundary: the status-returning wrapper around the ∆V
 // mutation that records a delta (maintenance_engine.cc GC loop).
 inline constexpr char kJournalAppend[] = "journal.append";

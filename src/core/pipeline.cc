@@ -320,6 +320,11 @@ Status UpdateSystem::ApplyBatch(const UpdateBatch& batch) {
   obs::TraceSpan span("op.batch");
   span.Arg("ops", batch.size());
   XVU_OBS_LATENCY(lat, "xvu.op.batch.ns");
+  return ApplyWrite(batch, "batch", /*store_fresh_evals=*/true);
+}
+
+Status UpdateSystem::ApplyWrite(const UpdateBatch& batch, const char* kind,
+                                bool store_fresh_evals) {
   std::lock_guard<std::mutex> lock(commit_mu_);
   stats_ = UpdateStats{};
   stats_.batch_ops = batch.size();
@@ -330,12 +335,12 @@ Status UpdateSystem::ApplyBatch(const UpdateBatch& batch) {
   if (options_.op_timeout_seconds > 0) {
     ctx.deadline = Deadline::After(options_.op_timeout_seconds);
   }
-  // The eval-cache scope repairs the cache if the batch fails: entries
-  // the batch displaced (evictions, unpatchable drops) come back, while
-  // its snapshot-version evaluations are kept — valid after the rewind,
-  // so resubmitting a rejected batch hits them.
+  // The eval-cache scope repairs the cache if the write fails: entries
+  // it displaced (evictions, unpatchable drops) come back, while its
+  // snapshot-version evaluations are kept — valid after the rewind, so
+  // resubmitting a rejected batch hits them.
   eval_cache_.BeginScope();
-  Status st = ApplyBatchImpl(batch, &ctx);
+  Status st = ApplyBatchImpl(batch, store_fresh_evals, &ctx);
   if (obs::MetricsEnabled()) {
     XVU_OBS_COUNT("xvu.batch.ops", stats_.batch_ops);
     XVU_OBS_COUNT("xvu.batch.xpath_cache_hits", stats_.xpath_cache_hits);
@@ -347,7 +352,7 @@ Status UpdateSystem::ApplyBatch(const UpdateBatch& batch) {
   if (st.ok()) {
     eval_cache_.CommitScope();
     PublishEpoch();
-    RecordOpMetrics("batch", st);
+    RecordOpMetrics(kind, st);
     return st;
   }
   Status rb = RollbackWrite(ctx);
@@ -355,17 +360,19 @@ Status UpdateSystem::ApplyBatch(const UpdateBatch& batch) {
   // Clear()ed, which discards the scope; RollbackScope is then a no-op.
   eval_cache_.RollbackScope(ctx.snapshot_version);
   PublishEpoch();
-  RecordOpMetrics("batch", st);
+  RecordOpMetrics(kind, st);
   if (!rb.ok()) return rb;
   return st;
 }
 
-Status UpdateSystem::ApplyBatchImpl(const UpdateBatch& batch, WriteUndo* ctx) {
+Status UpdateSystem::ApplyBatchImpl(const UpdateBatch& batch,
+                                    bool store_fresh_evals, WriteUndo* ctx) {
   const std::vector<XmlUpdate>& ops = batch.ops();
 
   // Phase boundaries become complete trace events stamped as each phase
   // ends; an early rejection simply leaves the later phases without
-  // events (the enclosing op.batch span still shows the total).
+  // events (the enclosing op.batch / op.insert / op.delete span still
+  // shows the total).
   const bool tracing = obs::TracingEnabled();
   uint64_t phase_start = tracing ? obs::TraceNowNs() : 0;
   auto end_phase = [&](const char* name, const char* arg_name,
@@ -467,11 +474,20 @@ Status UpdateSystem::ApplyBatchImpl(const UpdateBatch& batch, WriteUndo* ctx) {
   });
 
   // Publish: store once per miss, in deterministic first-occurrence order
-  // (also the order errors are reported in).
+  // (also the order errors are reported in). A statement keeps its fresh
+  // evaluations local instead: a cached W1 trace at |C| = 10k holds about
+  // 588 KB of masks and items, and storing one per statement raised
+  // xvubench's peak RSS on ops_w1_c10k from 264 to 321 MB (145 to 152 MB
+  // on readwrite_w2_c5k). It still probed the cache above, so it can
+  // patch an entry a batch left; a rejected statement leaves no entry.
   for (size_t k = 0; k < miss_idx.size(); ++k) {
     XVU_RETURN_NOT_OK(fresh_status[k]);
     DistinctPath& d = distinct[miss_idx[k]];
-    d.ev = eval_cache_.Store(d.key, snapshot_version, std::move(fresh[k]));
+    if (store_fresh_evals) {
+      d.ev = eval_cache_.Store(d.key, snapshot_version, std::move(fresh[k]));
+    } else {
+      d.ev = &fresh[k].result;
+    }
   }
 
   // Per-op accounting and policy checks, in op order — the counters come
@@ -573,18 +589,21 @@ Status UpdateSystem::ApplyBatchImpl(const UpdateBatch& batch, WriteUndo* ctx) {
   }
   // (c) An insert targeting a node a delete may tear off. Conservative:
   // any target inside desc-or-self of a deleted selection conflicts, even
-  // if the node would survive through another parent.
-  std::vector<NodeId> del_cone = CollectDescOrSelf(dag_, del_selected);
-  std::unordered_set<NodeId> del_cone_set;
-  del_cone_set.reserve(del_cone.size() * 2);
-  del_cone_set.insert(del_cone.begin(), del_cone.end());
-  for (size_t i = 0; i < ops.size(); ++i) {
-    if (ops[i].kind != XmlUpdate::Kind::kInsert) continue;
-    for (NodeId u : evals[i]->selected) {
-      if (del_cone_set.count(u) > 0) {
-        return Status::Rejected(
-            "intra-batch conflict: " + OpLabel(i, ops[i]) +
-            " targets a node inside a subtree deleted by the same batch");
+  // if the node would survive through another parent. Only a batch with
+  // both kinds of op walks the cone.
+  if (!del_ops.empty() && del_ops.size() < ops.size()) {
+    std::vector<NodeId> del_cone = CollectDescOrSelf(dag_, del_selected);
+    std::unordered_set<NodeId> del_cone_set;
+    del_cone_set.reserve(del_cone.size() * 2);
+    del_cone_set.insert(del_cone.begin(), del_cone.end());
+    for (size_t i = 0; i < ops.size(); ++i) {
+      if (ops[i].kind != XmlUpdate::Kind::kInsert) continue;
+      for (NodeId u : evals[i]->selected) {
+        if (del_cone_set.count(u) > 0) {
+          return Status::Rejected(
+              "intra-batch conflict: " + OpLabel(i, ops[i]) +
+              " targets a node inside a subtree deleted by the same batch");
+        }
       }
     }
   }
@@ -594,8 +613,11 @@ Status UpdateSystem::ApplyBatchImpl(const UpdateBatch& batch, WriteUndo* ctx) {
 
   // ---- Phase 3: one consolidated ∆V → ∆R translation.
   // Deletes: every selected edge's witness rows, in one group.
+  // ∆V counts as soon as it is derived, so a write rejected in
+  // translation still reports the rows it tried to apply.
   XVU_ASSIGN_OR_RETURN(std::vector<ViewRowOp> del_dv,
                        XDeleteRows(store_, dag_, del_edges));
+  stats_.delta_v = del_dv.size();
   RelationalUpdate dr;
   if (!del_dv.empty()) {
     MinimalDeleteOptions del_options;
@@ -642,6 +664,7 @@ Status UpdateSystem::ApplyBatchImpl(const UpdateBatch& batch, WriteUndo* ctx) {
   for (const InsertPlan& plan : plans) ins_dv_per_op.push_back(&plan.dv);
   XVU_ASSIGN_OR_RETURN(std::vector<ViewRowOp> ins_dv,
                        ConsolidateViewOps(ins_dv_per_op));
+  stats_.delta_v += ins_dv.size();
   if (!ins_dv.empty()) {
     // The symbolic work cap is sized for one op; a batch gets the same
     // total budget the ops would have had sequentially.
@@ -664,7 +687,6 @@ Status UpdateSystem::ApplyBatchImpl(const UpdateBatch& batch, WriteUndo* ctx) {
     stats_.symbolic_candidates = tr.num_candidates;
     dr.ops.insert(dr.ops.end(), tr.delta_r.ops.begin(), tr.delta_r.ops.end());
   }
-  stats_.delta_v = del_dv.size() + ins_dv.size();
   stats_.delta_r = dr.ops.size();
   end_phase("batch.phase.translate", "delta_r", dr.ops.size());
   XVU_RETURN_NOT_OK(CheckRelationalConflicts(dr, db_));

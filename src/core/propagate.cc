@@ -8,12 +8,15 @@
 // occurrence pinned to t (evaluated against the post-insert database).
 // Each contributed row may create a new child subtree (published
 // incrementally, sharing existing nodes) and/or a new edge under an
-// existing parent; M and L are maintained per connect.
+// existing parent.
 //
 // Deletion of a base tuple: every materialized witness row whose key
 // columns at a T-occurrence match t's key disappears; edges left without
-// witnesses are removed and ∆(M,L)delete garbage-collects what became
-// unreachable.
+// witnesses are removed.
+//
+// After each base op, MaintenanceEngine::MaintainBatch brings M and L
+// forward over the op's ∆V journal window and garbage-collects what
+// became unreachable; ReclaimCollected drops the collected coding rows.
 
 #include <unordered_set>
 
@@ -64,24 +67,21 @@ Status UpdateSystem::PropagateBaseInsert(const std::string& table,
             return Status::Rejected(
                 "relational update makes the view cyclic");
           }
+          // Cycle guard against the live DAG (M is brought forward only
+          // after the whole op): the subtree must not contain a parent.
+          // Connecting a parent outside the cone leaves the cone as is.
+          std::vector<NodeId> cone = CollectDescOrSelf(dag_, {st.root});
+          std::unordered_set<NodeId> cone_set(cone.begin(), cone.end());
           for (NodeId u : parents) {
-            // Cycle guard: the subtree must not contain the parent.
-            if (u == st.root || engine_.reach().IsAncestor(st.root, u)) {
+            if (cone_set.count(u) > 0) {
               return Status::Rejected(
                   "relational update makes the view cyclic");
             }
-            std::vector<NodeId> connected;
-            if (dag_.AddEdge(u, st.root)) connected.push_back(u);
+            (void)dag_.AddEdge(u, st.root);
             XVU_RETURN_NOT_OK(store_.AddEdgeRow(
                 vn, ViewStore::MakeEdgeRow(static_cast<int64_t>(u),
                                            static_cast<int64_t>(st.root),
                                            wr.projected)));
-            MaintenanceDelta delta;
-            XVU_RETURN_NOT_OK(engine_.MaintainInsert(dag_, st.root,
-                                                     st.new_nodes, connected,
-                                                     &delta));
-            // The subtree's nodes are shared from now on.
-            st.new_nodes.clear();
           }
         }
       }
@@ -92,9 +92,8 @@ Status UpdateSystem::PropagateBaseInsert(const std::string& table,
 
 Status UpdateSystem::PropagateBaseDelete(const std::string& table,
                                          const Tuple& row) {
-  // Collect the witness rows that used the deleted tuple, per view.
-  std::vector<NodeId> targets;
-  std::unordered_set<NodeId> target_set;
+  // Drop the witness rows that used the deleted tuple, per view, and
+  // every edge left without a witness.
   for (const std::string& vn : store_.EdgeViewNames()) {
     const EdgeViewInfo* info = store_.GetEdgeView(vn);
     Table* vt = store_.db().GetTable(vn);
@@ -123,26 +122,8 @@ Status UpdateSystem::PropagateBaseDelete(const std::string& table,
               .empty() &&
           dag_.HasEdge(u, v)) {
         XVU_RETURN_NOT_OK(dag_.RemoveEdge(u, v));
-        if (target_set.insert(v).second) targets.push_back(v);
       }
     }
-  }
-  if (targets.empty()) return Status::OK();
-  MaintenanceDelta delta;
-  XVU_RETURN_NOT_OK(engine_.MaintainDelete(&dag_, targets, &delta));
-  for (const auto& [u, v] : delta.orphan_edges) {
-    const EdgeViewInfo* info =
-        store_.FindEdgeViewByTypes(dag_.node(u).type, dag_.node(v).type);
-    if (info == nullptr) continue;
-    for (const Tuple& r : store_.EdgeRowsFor(info->name,
-                                             static_cast<int64_t>(u),
-                                             static_cast<int64_t>(v))) {
-      XVU_RETURN_NOT_OK(store_.RemoveEdgeRow(info->name, r));
-    }
-  }
-  for (NodeId n : delta.removed_nodes) {
-    XVU_RETURN_NOT_OK(
-        store_.RemoveGenRow(dag_.node(n).type, static_cast<int64_t>(n)));
   }
   return Status::OK();
 }
@@ -155,6 +136,13 @@ Status UpdateSystem::ApplyRelationalUpdate(const RelationalUpdate& dr) {
 }
 
 Status UpdateSystem::ApplyRelationalUpdateImpl(const RelationalUpdate& dr) {
+  auto maintain = [this]() -> Status {
+    MaintenanceEngine::BatchOptions maintain_options;
+    maintain_options.strategy = options_.maintenance;
+    MaintenanceEngine::BatchReport report;
+    XVU_RETURN_NOT_OK(engine_.MaintainBatch(&dag_, maintain_options, &report));
+    return ReclaimCollected(report.delta, nullptr);
+  };
   for (const TableOp& op : dr.ops) {
     Table* t = db_.GetTable(op.table);
     if (t == nullptr) return Status::NotFound("table " + op.table);
@@ -169,6 +157,7 @@ Status UpdateSystem::ApplyRelationalUpdateImpl(const RelationalUpdate& dr) {
       }
       XVU_RETURN_NOT_OK(t->Insert(op.row));
       Status st = PropagateBaseInsert(op.table, op.row);
+      if (st.ok()) st = maintain();
       if (!st.ok()) {
         // Cyclic-view rejections leave the base consistent by undoing the
         // offending tuple; the view may hold a partially propagated edge
@@ -180,6 +169,7 @@ Status UpdateSystem::ApplyRelationalUpdateImpl(const RelationalUpdate& dr) {
     } else {
       XVU_RETURN_NOT_OK(t->DeleteByKey(t->schema().KeyOf(op.row)));
       XVU_RETURN_NOT_OK(PropagateBaseDelete(op.table, op.row));
+      XVU_RETURN_NOT_OK(maintain());
     }
   }
   return Status::OK();

@@ -1,26 +1,11 @@
 #include "src/core/system.h"
 
 #include <algorithm>
-#include <chrono>
-#include <unordered_set>
 
 #include "src/common/failpoint.h"
-#include "src/core/translate.h"
-#include "src/dtd/validate.h"
-#include "src/viewupdate/minimal_delete.h"
 #include "src/xpath/parser.h"
 
 namespace xvu {
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double Seconds(Clock::time_point from, Clock::time_point to) {
-  return std::chrono::duration<double>(to - from).count();
-}
-
-}  // namespace
 
 Result<std::unique_ptr<UpdateSystem>> UpdateSystem::Create(Atg atg,
                                                            Database db,
@@ -176,16 +161,6 @@ void UpdateSystem::UnpublishSubtreeRows(const Publisher::SubtreeResult& st) {
       for (const Tuple& r : rows) (void)store_.RemoveEdgeRow(vn, r);
     }
     (void)store_.RemoveGenRow(type, static_cast<int64_t>(n));
-  }
-}
-
-void UpdateSystem::RollbackSubtree(const Publisher::SubtreeResult& st) {
-  for (auto it = st.new_edges.rbegin(); it != st.new_edges.rend(); ++it) {
-    (void)dag_.RemoveEdge(it->first, it->second);
-  }
-  UnpublishSubtreeRows(st);
-  for (auto it = st.new_nodes.rbegin(); it != st.new_nodes.rend(); ++it) {
-    (void)dag_.RemoveNode(*it);
   }
 }
 
@@ -373,227 +348,17 @@ Status UpdateSystem::ApplyInsert(const std::string& elem_type,
                                  const Tuple& attr, const Path& p) {
   obs::TraceSpan span("op.insert");
   XVU_OBS_LATENCY(lat, "xvu.op.insert.ns");
-  std::lock_guard<std::mutex> lock(commit_mu_);
-  stats_ = UpdateStats{};
-  stats_.batch_ops = 1;
-  stats_.distinct_paths = 1;
-  stats_.xpath_evaluations = 1;
-  WriteUndo ctx;
-  ctx.snapshot_version = dag_.version();
-  stats_.snapshot_version = ctx.snapshot_version;
-  if (options_.op_timeout_seconds > 0) {
-    ctx.deadline = Deadline::After(options_.op_timeout_seconds);
-  }
-  Status st = ApplyInsertImpl(elem_type, attr, p, &ctx);
-  Status rb = st.ok() ? Status::OK() : RollbackWrite(ctx);
-  PublishEpoch();
-  RecordOpMetrics("insert", st);
-  XVU_RETURN_NOT_OK(rb);
-  return st;
-}
-
-Status UpdateSystem::ApplyInsertImpl(const std::string& elem_type,
-                                     const Tuple& attr, const Path& p,
-                                     WriteUndo* ctx) {
-  // Phase 0: schema-level validation (Section 2.4).
-  XVU_RETURN_NOT_OK(ValidateInsert(atg_.dtd(), p, elem_type));
-  const std::vector<Column>* schema = atg_.AttrSchema(elem_type);
-  if (schema == nullptr || schema->size() != attr.size()) {
-    return Status::InvalidArgument("attribute arity mismatch for " +
-                                   elem_type);
-  }
-
-  // Phase 1: XPath evaluation + side-effect detection.
-  auto t0 = Clock::now();
-  XPathEvaluator evaluator(&dag_, &engine_.topo(), &engine_.reach());
-  XVU_ASSIGN_OR_RETURN(EvalResult ev, evaluator.Evaluate(p));
-  auto t1 = Clock::now();
-  stats_.xpath_seconds = Seconds(t0, t1);
-  stats_.selected = ev.selected.size();
-  stats_.had_side_effects = ev.has_side_effects();
-  if (ev.selected.empty()) {
-    return Status::Rejected("XPath selects no nodes; nothing to insert into");
-  }
-  if (ev.has_side_effects() &&
-      options_.side_effects == SideEffectPolicy::kAbort) {
-    return Status::Rejected(
-        "insertion has XML side effects (" +
-        std::to_string(ev.side_effect_nodes.size()) +
-        " additional affected nodes); aborted by policy");
-  }
-  XVU_RETURN_NOT_OK(CheckDeadline(ctx->deadline, "insert: XPath evaluated"));
-
-  // Cycle guard for a pre-existing subtree root: inserting (u, r_A) with
-  // r_A an ancestor-or-self of some target u would loop the view.
-  NodeId existing_root = dag_.FindNode(elem_type, attr);
-  if (existing_root != kInvalidNode) {
-    for (NodeId u : ev.selected) {
-      if (u == existing_root || engine_.reach().IsAncestor(existing_root, u)) {
-        return Status::Rejected(
-            "inserting (" + elem_type +
-            ", ...) here would make the view cyclic (the subtree already "
-            "contains the target)");
-      }
-    }
-  }
-
-  // Phase 2: ∆X → ∆V → ∆R.
-  XVU_ASSIGN_OR_RETURN(
-      std::vector<ViewRowOp> dv,
-      XInsertConnectRows(store_, db_, dag_, ev.selected, elem_type, attr));
-  stats_.delta_v = dv.size();
-  InsertOptions ins_options = options_.insert;
-  ins_options.deadline = ctx->deadline;
-  XVU_ASSIGN_OR_RETURN(
-      InsertTranslation tr,
-      TranslateGroupInsertion(store_, db_, dv, ins_options));
-  stats_.used_sat = tr.used_sat;
-  stats_.sat_propagations = tr.sat_stats.propagations;
-  stats_.sat_conflicts = tr.sat_stats.conflicts;
-  stats_.sat_learned_clauses = tr.sat_stats.learned_clauses;
-  stats_.sat_flips = tr.sat_stats.flips;
-  stats_.sat_winner_lane = tr.sat_winner_lane;
-  stats_.sat_seconds = tr.sat_seconds;
-  stats_.delta_r = tr.delta_r.ops.size();
-  XVU_RETURN_NOT_OK(CheckDeadline(ctx->deadline, "insert: translated"));
-
-  // Phase 2b: apply ∆R, publish ST(A, t), connect.
-  XVU_RETURN_NOT_OK(ApplyDeltaRTracked(tr.delta_r, &ctx->undo));
-  XVU_FAIL_POINT(failpoints::kInsertApplyDeltaR);
-
-  Publisher pub(&atg_, &db_);
-  XVU_ASSIGN_OR_RETURN(Publisher::SubtreeResult st,
-                       pub.PublishSubtree(elem_type, attr, &dag_, &store_));
-  stats_.subtree_edges = st.new_edges.size();
-  const bool cyclic = st.cyclic;
-  ctx->published.push_back(std::move(st));
-  const Publisher::SubtreeResult& sub = ctx->published.back();
-  if (cyclic) {
-    return Status::Rejected("inserted subtree makes the view cyclic");
-  }
-  XVU_FAIL_POINT(failpoints::kInsertPublish);
-  // Connect-edge cycle guard for a freshly published root.
-  {
-    std::vector<NodeId> cone = CollectDescOrSelf(dag_, {sub.root});
-    std::unordered_set<NodeId> cone_set(cone.begin(), cone.end());
-    for (NodeId u : ev.selected) {
-      if (cone_set.count(u) > 0) {
-        return Status::Rejected(
-            "inserting (" + elem_type +
-            ", ...) here would make the view cyclic");
-      }
-    }
-  }
-  std::vector<NodeId> connected;
-  for (size_t i = 0; i < ev.selected.size(); ++i) {
-    NodeId u = ev.selected[i];
-    if (dag_.AddEdge(u, sub.root)) connected.push_back(u);
-    // Fix up the child_id placeholder and materialize the witness row.
-    Tuple row = dv[i].row;
-    row[1] = Value::Int(static_cast<int64_t>(sub.root));
-    XVU_RETURN_NOT_OK(store_.AddEdgeRow(dv[i].view_name, row));
-    ctx->added_rows.push_back(ViewRowOp{dv[i].view_name, std::move(row)});
-  }
-  auto t2 = Clock::now();
-  stats_.translate_seconds = Seconds(t1, t2);
-  XVU_RETURN_NOT_OK(CheckDeadline(ctx->deadline, "insert: applied"));
-
-  // Phase 3: maintenance of M and L (backgroundable per Section 3.4).
-  ctx->maintenance_started = true;
-  MaintenanceDelta delta;
-  XVU_RETURN_NOT_OK(
-      engine_.MaintainInsert(dag_, sub.root, sub.new_nodes, connected,
-                             &delta));
-  XVU_FAIL_POINT(failpoints::kInsertMaintain);
-  stats_.maintenance_passes = 1;
-  stats_.maintenance_strategy = MaintenanceStrategy::kIncrementalMerge;
-  stats_.maintain_seconds = Seconds(t2, Clock::now());
-  return Status::OK();
+  UpdateBatch batch;
+  batch.Insert(elem_type, attr, p);
+  return ApplyWrite(batch, "insert", /*store_fresh_evals=*/false);
 }
 
 Status UpdateSystem::ApplyDelete(const Path& p) {
   obs::TraceSpan span("op.delete");
   XVU_OBS_LATENCY(lat, "xvu.op.delete.ns");
-  std::lock_guard<std::mutex> lock(commit_mu_);
-  stats_ = UpdateStats{};
-  stats_.batch_ops = 1;
-  stats_.distinct_paths = 1;
-  stats_.xpath_evaluations = 1;
-  WriteUndo ctx;
-  ctx.snapshot_version = dag_.version();
-  stats_.snapshot_version = ctx.snapshot_version;
-  if (options_.op_timeout_seconds > 0) {
-    ctx.deadline = Deadline::After(options_.op_timeout_seconds);
-  }
-  Status st = ApplyDeleteImpl(p, &ctx);
-  Status rb = st.ok() ? Status::OK() : RollbackWrite(ctx);
-  PublishEpoch();
-  RecordOpMetrics("delete", st);
-  XVU_RETURN_NOT_OK(rb);
-  return st;
-}
-
-Status UpdateSystem::ApplyDeleteImpl(const Path& p, WriteUndo* ctx) {
-  XVU_RETURN_NOT_OK(ValidateDelete(atg_.dtd(), p));
-
-  auto t0 = Clock::now();
-  XPathEvaluator evaluator(&dag_, &engine_.topo(), &engine_.reach());
-  XVU_ASSIGN_OR_RETURN(EvalResult ev, evaluator.Evaluate(p));
-  auto t1 = Clock::now();
-  stats_.xpath_seconds = Seconds(t0, t1);
-  stats_.selected = ev.selected.size();
-  stats_.parent_edges = ev.parent_edges.size();
-  stats_.had_side_effects = ev.has_side_effects();
-  if (ev.selected.empty()) {
-    return Status::Rejected("XPath selects no nodes; nothing to delete");
-  }
-  if (ev.has_side_effects() &&
-      options_.side_effects == SideEffectPolicy::kAbort) {
-    return Status::Rejected(
-        "deletion has XML side effects (" +
-        std::to_string(ev.side_effect_nodes.size()) +
-        " additional affected nodes); aborted by policy");
-  }
-  XVU_RETURN_NOT_OK(CheckDeadline(ctx->deadline, "delete: XPath evaluated"));
-
-  XVU_ASSIGN_OR_RETURN(std::vector<ViewRowOp> dv,
-                       XDeleteRows(store_, dag_, ev.parent_edges));
-  stats_.delta_v = dv.size();
-  MinimalDeleteOptions del_options;
-  del_options.deadline = ctx->deadline;
-  Result<RelationalUpdate> dr =
-      options_.minimal_deletions
-          ? TranslateMinimalDeletion(store_, db_, dv, del_options)
-          : TranslateGroupDeletion(store_, db_, dv);
-  if (!dr.ok()) return dr.status();
-  stats_.delta_r = dr->ops.size();
-  XVU_RETURN_NOT_OK(CheckDeadline(ctx->deadline, "delete: translated"));
-
-  XVU_RETURN_NOT_OK(ApplyDeltaRTracked(*dr, &ctx->undo));
-  XVU_FAIL_POINT(failpoints::kDeleteApplyDeltaR);
-  // Apply ∆V: drop the edges (journaled, undone by the rewind) and their
-  // witness rows (recorded for the store-side restore).
-  for (const auto& [u, v] : ev.parent_edges) {
-    XVU_RETURN_NOT_OK(dag_.RemoveEdge(u, v));
-  }
-  for (const ViewRowOp& op : dv) {
-    XVU_RETURN_NOT_OK(store_.RemoveEdgeRow(op.view_name, op.row));
-    ctx->removed_rows.push_back(op);
-  }
-  auto t2 = Clock::now();
-  stats_.translate_seconds = Seconds(t1, t2);
-  XVU_RETURN_NOT_OK(CheckDeadline(ctx->deadline, "delete: applied"));
-
-  // Maintenance + garbage collection (Fig.8).
-  ctx->maintenance_started = true;
-  MaintenanceDelta delta;
-  XVU_RETURN_NOT_OK(engine_.MaintainDelete(&dag_, ev.selected, &delta));
-  XVU_FAIL_POINT(failpoints::kDeleteMaintain);
-  XVU_RETURN_NOT_OK(ReclaimCollected(delta, ctx));
-  stats_.maintenance_passes = 1;
-  stats_.maintenance_strategy = MaintenanceStrategy::kIncrementalMerge;
-  stats_.maintain_seconds = Seconds(t2, Clock::now());
-  return Status::OK();
+  UpdateBatch batch;
+  batch.Delete(p);
+  return ApplyWrite(batch, "delete", /*store_fresh_evals=*/false);
 }
 
 void UpdateSystem::RecordOpMetrics(const char* kind, const Status& st) {

@@ -52,9 +52,10 @@ struct UpdateStats {
   bool used_sat = false;
 
   /// Batched-pipeline counters. ApplyBatch fills them for the whole batch;
-  /// the per-op entry points report the single-op equivalents (batch_ops =
-  /// xpath_evaluations = maintenance_passes = 1), so callers can compare
-  /// the two paths uniformly.
+  /// a statement runs as a batch of one op and reports that batch's
+  /// counters (batch_ops = maintenance_passes = 1; xpath_evaluations is 1
+  /// unless the shared eval cache served the path), so callers can
+  /// compare the two uniformly.
   /// dag().version() the op/batch evaluated against (the pre-write read
   /// epoch). After a successful write the maintenance cursor and the
   /// published read epoch both land on the new dag().version(), strictly
@@ -67,11 +68,11 @@ struct UpdateStats {
   size_t xpath_cache_hits = 0;   ///< evaluations served from PathEvalCache
   size_t maintenance_passes = 0;
 
-  /// Journal/engine counters. `maintenance_strategy` is what actually ran
-  /// (per-op paths report kIncrementalMerge: Fig.7/8 are incremental by
-  /// construction); `journal_entries_replayed` is the ∆V window length the
-  /// batch merge consumed. `delta_patches` counts cached XPath node-sets
-  /// brought forward across DAG versions by journal patching, and
+  /// Journal/engine counters. `maintenance_strategy` is what the engine
+  /// actually ran for this write (statements included);
+  /// `journal_entries_replayed` is the ∆V window length the merge
+  /// consumed. `delta_patches` counts cached XPath node-sets brought
+  /// forward across DAG versions by journal patching, and
   /// `fallback_evals` the stale entries where patching was not applicable
   /// and a fresh evaluation ran instead.
   MaintenanceStrategy maintenance_strategy = MaintenanceStrategy::kAuto;
@@ -130,16 +131,17 @@ class UpdateSystem {
     /// Use the minimal-deletion solver instead of Algorithm delete's
     /// arbitrary pick (Section 4.2 "Minimal Deletions").
     bool minimal_deletions = false;
-    /// Batch maintenance strategy: kAuto picks incremental-merge vs full
-    /// rebuild per batch by the |journal| vs |V| cost model; the explicit
-    /// values force one path (benchmarks, tests).
+    /// Maintenance strategy of every write (batches, statements and each
+    /// base op of a relational update): kAuto picks incremental merge vs
+    /// full rebuild per write by the |journal| vs |V| cost model; the
+    /// explicit values force one path (benchmarks, tests).
     MaintenanceStrategy maintenance = MaintenanceStrategy::kAuto;
-    /// Worker lanes for ApplyBatch's read-only phases (the per-distinct-
-    /// path XPath evaluations of Phase 1 and the symbolic side-effect
-    /// passes of the insert translation). 1 = fully serial, no threads
-    /// spawned. Results are bit-identical for every value: all parallel
-    /// work reads one immutable snapshot, writes per-task slots, and is
-    /// merged in serial order.
+    /// Worker lanes for the write path's read-only phases (the per-
+    /// distinct-path XPath evaluations of Phase 1 and the symbolic side-
+    /// effect passes of the insert translation), statements included.
+    /// 1 = fully serial, no threads spawned. Results are bit-identical
+    /// for every value: all parallel work reads one immutable snapshot,
+    /// writes per-task slots, and is merged in serial order.
     size_t worker_threads = 1;
     /// Wall-clock budget per ApplyInsert/ApplyDelete/ApplyBatch call;
     /// 0 = unbounded. On expiry the op rejects with kDeadlineExceeded
@@ -158,10 +160,12 @@ class UpdateSystem {
                                                       Options options);
   static Result<std::unique_ptr<UpdateSystem>> Create(Atg atg, Database db);
 
-  /// Applies `insert (elem_type, attr) into p`.
+  /// Applies `insert (elem_type, attr) into p` as a batch of one op (see
+  /// ApplyBatch; rejections name the op as `op #0 (...)`). Unlike a batch,
+  /// a statement does not store its fresh evaluation in eval_cache().
   Status ApplyInsert(const std::string& elem_type, const Tuple& attr,
                      const Path& p);
-  /// Applies `delete p`.
+  /// Applies `delete p`, likewise as a batch of one op.
   Status ApplyDelete(const Path& p);
   /// Parses and applies a textual update statement.
   Status ApplyStatement(const std::string& stmt);
@@ -169,8 +173,8 @@ class UpdateSystem {
   /// Applies a whole batch atomically under snapshot semantics (see
   /// UpdateBatch): one shared XPath evaluation per distinct normalized
   /// path, one consolidated ∆V → ∆R translation, one ∆R application, and
-  /// one deferred maintenance pass — instead of the per-op pipeline run N
-  /// times. Rejected (leaving all state untouched) on any per-op
+  /// one deferred maintenance pass — instead of N statements, each paying
+  /// all four. Rejected (leaving all state untouched) on any per-op
   /// validation failure or intra-batch conflict. Implemented in
   /// core/pipeline.cc.
   Status ApplyBatch(const UpdateBatch& batch);
@@ -184,9 +188,11 @@ class UpdateSystem {
   /// maintenance of V after ∆R). Each base insertion contributes exactly
   /// the delta-join rows that use it (new edges and, transitively, new
   /// subtrees); each deletion removes the witness rows that used the
-  /// tuple, with unreferenced edges and nodes garbage-collected. Rejected
-  /// (with full rollback of nothing applied) if the update would make the
-  /// view cyclic; ops are applied one at a time, failing fast otherwise.
+  /// tuple. After each base op, M and L follow through
+  /// MaintenanceEngine::MaintainBatch, which garbage-collects unreferenced
+  /// edges and nodes, and ReclaimCollected drops their coding rows. Ops
+  /// apply one at a time, failing fast; an insertion that would make the
+  /// view cyclic is rejected, its tuple undone and the view resynced.
   Status ApplyRelationalUpdate(const RelationalUpdate& dr);
 
   /// Read-only XPath query over the view. Unsynchronized: sees the live
@@ -294,25 +300,24 @@ class UpdateSystem {
   /// evicted; returns that resync's status (OK on the normal path).
   Status RollbackWrite(const WriteUndo& ctx);
 
-  /// The batch pipeline body (core/pipeline.cc). ApplyBatch wraps it
-  /// with the eval-cache scope and RollbackWrite.
-  Status ApplyBatchImpl(const UpdateBatch& batch, WriteUndo* ctx);
+  /// The one write path (core/pipeline.cc). ApplyBatch, ApplyInsert and
+  /// ApplyDelete call it, the statements as batches of one op: it takes
+  /// the writer lock, runs ApplyBatchImpl under the eval-cache scope,
+  /// rolls back through RollbackWrite on failure, publishes the epoch and
+  /// records `xvu.op.<kind>.*` and the `xvu.batch.*` counters.
+  Status ApplyWrite(const UpdateBatch& batch, const char* kind,
+                    bool store_fresh_evals);
 
-  /// Per-op pipeline bodies: fill `ctx` as they mutate, return on the
-  /// first failure, and leave the cleanup entirely to RollbackWrite in
-  /// the ApplyInsert/ApplyDelete wrappers.
-  Status ApplyInsertImpl(const std::string& elem_type, const Tuple& attr,
-                         const Path& p, WriteUndo* ctx);
-  Status ApplyDeleteImpl(const Path& p, WriteUndo* ctx);
+  /// The pipeline body. Fills `ctx` as it mutates and returns on the first
+  /// failure, leaving the cleanup to ApplyWrite. `store_fresh_evals`:
+  /// whether fresh evaluator runs are stored in the eval cache (batches)
+  /// or kept local to the call (statements).
+  Status ApplyBatchImpl(const UpdateBatch& batch, bool store_fresh_evals,
+                        WriteUndo* ctx);
 
-  /// Undoes one subtree publication: removes its new edges, the witness
-  /// rows materialized under its new nodes, their gen rows, and finally
-  /// the nodes themselves.
-  void RollbackSubtree(const Publisher::SubtreeResult& st);
-
-  /// Store-only half of RollbackSubtree: removes the witness rows and
-  /// gen rows of a publication but leaves the DAG alone — used by
-  /// RollbackWrite, where DagView::RewindTo undoes the structure.
+  /// Removes the witness rows and gen rows of a subtree publication but
+  /// leaves the DAG alone — used by RollbackWrite, where
+  /// DagView::RewindTo undoes the structure.
   void UnpublishSubtreeRows(const Publisher::SubtreeResult& st);
 
   /// Reclaims the relational coding of garbage-collected parts: witness

@@ -33,27 +33,48 @@ Status MaintenanceEngine::Rebuild(const DagView& dag) {
   return Status::OK();
 }
 
-Status MaintenanceEngine::MaintainInsert(const DagView& dag,
-                                         NodeId subtree_root,
-                                         const std::vector<NodeId>& new_nodes,
-                                         const std::vector<NodeId>& targets,
-                                         MaintenanceDelta* delta) {
-  XVU_RETURN_NOT_OK(xvu::MaintainInsert(dag, subtree_root, new_nodes,
-                                        targets, &reach_, &topo_, delta));
-  maintained_version_ = dag.version();
-  return Status::OK();
-}
-
-Status MaintenanceEngine::MaintainDelete(DagView* dag,
-                                         const std::vector<NodeId>& targets,
-                                         MaintenanceDelta* delta) {
-  XVU_RETURN_NOT_OK(
-      xvu::MaintainDelete(dag, targets, &reach_, &topo_, delta));
-  maintained_version_ = dag->version();
-  return Status::OK();
-}
-
 namespace {
+
+/// Replacement ancestor rows staged for one Reachability::SetAncestorRows
+/// call by a pass that recomputes rows ancestors first: Get() returns a
+/// node's staged row if it has one, else M's current row, so each row is
+/// computed from its parents' new rows while M stays untouched until
+/// ApplyTo.
+class StagedAncestorRows {
+ public:
+  explicit StagedAncestorRows(const Reachability* m) : m_(m) {}
+
+  const Reachability::Row& Get(NodeId v) const {
+    auto it = at_.find(v);
+    return it != at_.end() ? rows_[it->second].second : m_->Ancestors(v);
+  }
+
+  /// The Fig.4 recurrence for one node over `parents`, read through Get().
+  Reachability::Row Union(const std::vector<NodeId>& parents) {
+    auto get = [this](NodeId p) -> const Reachability::Row& { return Get(p); };
+    return Reachability::UnionOverParents(parents, get, &scratch_);
+  }
+
+  /// Stages `row` as v's replacement; v must not be staged yet.
+  void Stage(NodeId v, Reachability::Row row) {
+    at_.emplace(v, rows_.size());
+    rows_.emplace_back(v, std::move(row));
+  }
+
+  /// Applies every staged row to `m` in one bulk update.
+  void ApplyTo(Reachability* m, Reachability::Pairs* added,
+               Reachability::Pairs* removed) {
+    m->SetAncestorRows(std::move(rows_), added, removed);
+    rows_.clear();
+    at_.clear();
+  }
+
+ private:
+  const Reachability* m_;
+  std::vector<std::pair<NodeId, Reachability::Row>> rows_;
+  std::unordered_map<NodeId, size_t> at_;
+  Reachability::Row scratch_;
+};
 
 /// Ancestors-first topological order of the subgraph induced by `nodes`:
 /// every in-set parent precedes its in-set children, so the Fig.4
@@ -133,53 +154,52 @@ Status MaintenanceEngine::IncrementalMerge(
     }
   }
 
-  // (2) Garbage collection, same criterion as the full path: a node
-  // survives iff it is reachable from the root. The removals are applied
+  // (2) Garbage collection over the window's candidates only: its fresh
+  // nodes plus the pre-window desc-or-self of each net-removed edge's
+  // child, read from the stale M. Every other live node keeps its
+  // pre-window root path — an edge of that path cannot be net-removed, or
+  // the node would be a candidate — so a candidate lives iff a live parent
+  // that is not a candidate reaches it through other candidates. This is
+  // the full path's criterion (reachable from the root) without its
+  // O(|V|) sweep. The root is never a candidate. The removals are applied
   // through the DagView (journaling them for any other journal consumer)
   // and folded into the net effect.
-  std::vector<NodeId> doomed;
-  if (!net_removed.empty() || !stale_nodes.empty()) {
-    // Pre-existing structure was removed: anything may have come loose;
-    // sweep from the root.
-    std::vector<NodeId> reachable = CollectDescOrSelf(*dag, {dag->root()});
-    std::vector<uint8_t> live(dag->capacity(), 0);
-    for (NodeId v : reachable) live[v] = 1;
-    for (NodeId v : dag->LiveNodes()) {
-      if (!live[v]) doomed.push_back(v);
-    }
-  } else if (!fresh_nodes.empty()) {
-    // No pre-existing edge or node was (net-)removed, so every old node
-    // is exactly as reachable as before and only this window's fresh
-    // nodes can be garbage (e.g. published but never connected, or whose
-    // connect edge was added and removed inside the window — net-zero
-    // for the edge, not for the node). A fresh node lives iff a path
-    // from an anchored fresh node (one with an old parent) reaches it;
-    // this keeps the common insert-only batch free of the O(|V|) sweep.
-    std::deque<NodeId> q;
-    std::unordered_set<NodeId> alive;
-    for (NodeId v : fresh_nodes) {
-      bool anchored = false;
-      for (NodeId p : dag->parents(v)) {
-        if (fresh_nodes.count(p) == 0) {
-          anchored = true;
-          break;
-        }
+  std::unordered_set<NodeId> candidates;
+  auto add_candidate = [&](NodeId v) {
+    if (v != dag->root() && dag->alive(v)) candidates.insert(v);
+  };
+  for (NodeId v : fresh_nodes) add_candidate(v);
+  for (const auto& e : net_removed) {
+    add_candidate(e.second);
+    for (NodeId d : reach_.Descendants(e.second)) add_candidate(d);
+  }
+  std::vector<NodeId> stack;
+  std::unordered_set<NodeId> lives;
+  for (NodeId v : candidates) {
+    for (NodeId p : dag->parents(v)) {
+      if (candidates.count(p) == 0) {
+        lives.insert(v);
+        stack.push_back(v);
+        break;
       }
-      if (anchored && alive.insert(v).second) q.push_back(v);
-    }
-    while (!q.empty()) {
-      NodeId v = q.front();
-      q.pop_front();
-      for (NodeId c : dag->children(v)) {
-        if (fresh_nodes.count(c) > 0 && alive.insert(c).second) {
-          q.push_back(c);
-        }
-      }
-    }
-    for (NodeId v : fresh_nodes) {
-      if (alive.count(v) == 0) doomed.push_back(v);
     }
   }
+  while (!stack.empty()) {
+    NodeId v = stack.back();
+    stack.pop_back();
+    for (NodeId c : dag->children(v)) {
+      if (candidates.count(c) > 0 && lives.insert(c).second) {
+        stack.push_back(c);
+      }
+    }
+  }
+  std::vector<NodeId> doomed;
+  for (NodeId v : candidates) {
+    if (lives.count(v) == 0) doomed.push_back(v);
+  }
+  // Ascending ids, as the full path's sweep collects them, so both leave
+  // the same DAG layout and reclaim rows in the same order.
+  std::sort(doomed.begin(), doomed.end());
   for (NodeId v : doomed) {
     std::vector<NodeId> children = dag->children(v);
     for (NodeId c : children) {
@@ -321,8 +341,44 @@ Status MaintenanceEngine::MaintainBatchImpl(DagView* dag,
   }
 
   report->used = MaintenanceStrategy::kFullRebuild;
-  XVU_RETURN_NOT_OK(xvu::MaintainBatch(dag, &reach_, &topo_, &report->delta));
+  XVU_RETURN_NOT_OK(FullRebuild(dag, &report->delta));
   maintained_version_ = dag->version();
+  return Status::OK();
+}
+
+Status MaintenanceEngine::FullRebuild(DagView* dag, MaintenanceDelta* delta) {
+  // (1) Garbage collection: a node survives iff it is still reachable from
+  // the root. (Equivalent to the cascading no-live-parent criterion of
+  // Fig.8 — in a rooted DAG the two fixpoints coincide — but computed in
+  // one DFS instead of per-deletion cascades.)
+  std::vector<NodeId> reachable =
+      dag->root() == kInvalidNode
+          ? std::vector<NodeId>{}
+          : CollectDescOrSelf(*dag, {dag->root()});
+  std::vector<uint8_t> live(dag->capacity(), 0);
+  for (NodeId v : reachable) live[v] = 1;
+  std::vector<NodeId> doomed;
+  for (NodeId v : dag->LiveNodes()) {
+    if (!live[v]) doomed.push_back(v);
+  }
+  // Every incoming edge of a doomed node originates at a doomed node (a
+  // live parent would make it reachable), so removing all doomed nodes'
+  // outgoing edges clears every incident edge.
+  for (NodeId v : doomed) {
+    std::vector<NodeId> children = dag->children(v);
+    for (NodeId c : children) {
+      delta->orphan_edges.emplace_back(v, c);
+      XVU_RETURN_NOT_OK(dag->RemoveEdge(v, c));
+    }
+  }
+  for (NodeId v : doomed) {
+    XVU_RETURN_NOT_OK(dag->RemoveNode(v));
+    delta->removed_nodes.push_back(v);
+  }
+
+  // (2) One rebuild of L and M amortized over the whole window.
+  XVU_ASSIGN_OR_RETURN(topo_, TopoOrder::Compute(*dag));
+  reach_ = Reachability::Compute(*dag, topo_);
   return Status::OK();
 }
 

@@ -13,12 +13,12 @@
 
 namespace xvu {
 
-/// How a batch's auxiliary-structure maintenance is performed.
+/// How a write's auxiliary-structure maintenance is performed.
 enum class MaintenanceStrategy {
-  /// Pick per batch by the cost model on |journal| vs |V|.
+  /// Pick per write by the cost model on |journal| vs |V|.
   kAuto,
   /// Replay the ∆V journal through a generalized multi-op ∆(M,L) merge
-  /// (Fig.7/8 steps consolidated over the whole batch), emitting true
+  /// (Fig.7/8 steps consolidated over the whole window), emitting true
   /// m_inserted/m_deleted deltas.
   kIncrementalMerge,
   /// Garbage-collect + rebuild L (Kahn) and M (Algorithm Reach) wholesale.
@@ -28,13 +28,18 @@ enum class MaintenanceStrategy {
 const char* MaintenanceStrategyName(MaintenanceStrategy s);
 
 /// Owner of the auxiliary structures M (reachability) and L (topological
-/// order) of Section 3.1, and of the strategy that keeps them in sync with
-/// the DAG after updates.
+/// order) of Section 3.1, and the one entry point that keeps them in sync
+/// with the DAG: every write — a batch, a statement (a batch of one op)
+/// and each base op of a relational update — changes M and L only through
+/// MaintainBatch. Rebuild serves Initialize and rollback.
 ///
 /// The engine tracks the DAG version its structures are valid for
-/// (`maintained_version`). A batch's mutations land in the DagView's ∆V
+/// (`maintained_version`). A write's mutations land in the DagView's ∆V
 /// journal; MaintainBatch then either replays `JournalSince(
-/// maintained_version)` incrementally or rebuilds wholesale, per strategy.
+/// maintained_version)` incrementally — the paper's per-update Fig.7/8
+/// maintenance is the one-update case of this merge — or rebuilds
+/// wholesale, per strategy. Both leave L equal to TopoOrder::Compute of
+/// the DAG, so the Rebuild in rollback restores the pre-op L exactly.
 /// Each replay is driven purely by its journal window, so it is a
 /// self-contained unit of work; today it always runs synchronously in the
 /// update pipeline, and after a committed write the cursor, the DAG
@@ -71,21 +76,12 @@ class MaintenanceEngine {
   /// DAG version the structures are currently valid for.
   uint64_t maintained_version() const { return maintained_version_; }
 
-  /// Per-op incremental maintenance (Fig.7 / Fig.8), keeping the journal
-  /// cursor in sync. Same contracts as the free functions they wrap.
-  Status MaintainInsert(const DagView& dag, NodeId subtree_root,
-                        const std::vector<NodeId>& new_nodes,
-                        const std::vector<NodeId>& targets,
-                        MaintenanceDelta* delta);
-  Status MaintainDelete(DagView* dag, const std::vector<NodeId>& targets,
-                        MaintenanceDelta* delta);
-
-  /// Batch maintenance: garbage-collects unreachable nodes and brings M
-  /// and L to dag->version(), choosing the strategy per `options`. Both
-  /// strategies produce identical M, L (bit-identical: the incremental
-  /// path re-derives L with the same Kahn pass over the cleaned DAG) and
-  /// view; the incremental path additionally fills the report delta's
-  /// m_inserted/m_deleted with the true ∆M pairs.
+  /// One write's maintenance: garbage-collects unreachable nodes and
+  /// brings M and L to dag->version(), choosing the strategy per
+  /// `options`. Both strategies produce identical M, L (bit-identical: the
+  /// incremental path re-derives L with the same Kahn pass over the
+  /// cleaned DAG) and view; the incremental path additionally fills the
+  /// report delta's m_inserted/m_deleted with the true ∆M pairs.
   ///
   /// A forced kIncrementalMerge silently degrades to kFullRebuild when the
   /// journal window is not covered (report->used tells the truth).
@@ -99,11 +95,19 @@ class MaintenanceEngine {
                            BatchReport* report);
 
   /// The generalized multi-op ∆(M,L) merge. Consolidates the journal into
-  /// its net structural effect, garbage-collects, recomputes ancestor sets
-  /// over the affected region only (new-DAG desc-or-self of the changed
-  /// edges' child endpoints and new nodes), and re-derives L linearly.
+  /// its net structural effect, garbage-collects the window's candidates,
+  /// recomputes ancestor sets over the affected region only (new-DAG
+  /// desc-or-self of the changed edges' child endpoints and new nodes),
+  /// and re-derives L linearly.
   Status IncrementalMerge(DagView* dag, const std::vector<DagDelta>& journal,
                           MaintenanceDelta* delta);
+
+  /// The kFullRebuild path: garbage-collects every node no longer
+  /// reachable from the root (reported in `delta` as orphan_edges and
+  /// removed_nodes), then rebuilds L (Kahn) and M (Algorithm Reach, Fig.4)
+  /// over the cleaned DAG. m_inserted/m_deleted stay empty: M is replaced
+  /// wholesale.
+  Status FullRebuild(DagView* dag, MaintenanceDelta* delta);
 
   TopoOrder topo_;
   Reachability reach_;

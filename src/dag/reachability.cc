@@ -196,37 +196,6 @@ const Reachability::Row& Reachability::Descendants(NodeId a) const {
   return a < desc_.size() ? desc_[a] : kEmpty;
 }
 
-void Reachability::InsertProduct(const Row& ancestors, const Row& descendants,
-                                 Pairs* added) {
-  if (ancestors.empty() || descendants.empty()) return;
-  const NodeId hi = std::max(ancestors.back(), descendants.back());
-  EnsureCapacity(static_cast<size_t>(hi) + 1);
-  // gained[k]: the descendants that newly gain ancestors[k], ascending
-  // because `descendants` is visited in order.
-  std::vector<Row> gained(ancestors.size());
-  Row add;
-  for (NodeId d : descendants) {
-    Row& row = anc_[d];
-    add.clear();
-    auto it = row.begin();
-    for (size_t k = 0; k < ancestors.size(); ++k) {
-      const NodeId a = ancestors[k];
-      if (a == d) continue;
-      it = std::lower_bound(it, row.end(), a);
-      if (it != row.end() && *it == a) continue;
-      add.push_back(a);
-      gained[k].push_back(d);
-    }
-    MergeSorted(&row, add);
-    size_ += add.size();
-  }
-  for (size_t k = 0; k < ancestors.size(); ++k) {
-    MergeSorted(&desc_[ancestors[k]], gained[k]);
-    if (added == nullptr) continue;
-    for (NodeId d : gained[k]) added->emplace_back(ancestors[k], d);
-  }
-}
-
 void Reachability::ErasePairs(const Pairs& pairs, Pairs* removed) {
   Packed gone;
   Row held;

@@ -20,7 +20,7 @@ namespace xvu {
 /// copy is one flat array per row. Relationships are strict: (v, v) is
 /// never stored.
 ///
-/// Updates are bulk only: InsertProduct/ErasePairs/SetAncestorRows take
+/// Updates are bulk only: ErasePairs/SetAncestorRows take
 /// all of a pass's changes at once and cost one sorted merge or one
 /// remove pass per touched row in each orientation. A single-pair update
 /// would shift its row (O(|row|) per pair), which is what maintenance
@@ -57,13 +57,6 @@ class Reachability {
   const Row& Ancestors(NodeId d) const;
   /// a's strict descendants, ascending.
   const Row& Descendants(NodeId a) const;
-
-  /// Adds every pair (a, d) of ancestors × descendants (both sorted and
-  /// duplicate-free; reflexive pairs are skipped) that M does not hold yet
-  /// — the cross pairs of Fig.7 — with one merge per touched row in each
-  /// orientation. Appends the newly added pairs to `added` when non-null.
-  void InsertProduct(const Row& ancestors, const Row& descendants,
-                     Pairs* added);
 
   /// Removes every pair of `pairs` (any order, duplicates allowed) that M
   /// holds, with one remove pass per touched row in each orientation.

@@ -1,15 +1,8 @@
 #include "src/dag/topo_order.h"
 
-#include <algorithm>
 #include <deque>
 
-#include "src/dag/reachability.h"
-
 namespace xvu {
-
-void TopoOrder::EnsurePos(NodeId v) {
-  if (v >= pos_.size()) pos_.resize(v + 1, npos);
-}
 
 Result<TopoOrder> TopoOrder::Compute(const DagView& dag) {
   TopoOrder t;
@@ -42,50 +35,6 @@ Result<TopoOrder> TopoOrder::Compute(const DagView& dag) {
 
 size_t TopoOrder::PositionOf(NodeId v) const {
   return v < pos_.size() ? pos_[v] : npos;
-}
-
-void TopoOrder::Reindex(size_t from) {
-  for (size_t i = from; i < order_.size(); ++i) pos_[order_[i]] = i;
-}
-
-void TopoOrder::Remove(NodeId v) {
-  size_t p = PositionOf(v);
-  if (p == npos) return;
-  order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(p));
-  pos_[v] = npos;
-  Reindex(p);
-}
-
-void TopoOrder::InsertAfter(NodeId v, size_t pos) {
-  EnsurePos(v);
-  size_t at = pos == npos ? 0 : pos + 1;
-  order_.insert(order_.begin() + static_cast<std::ptrdiff_t>(at), v);
-  Reindex(at);
-}
-
-void TopoOrder::Swap(NodeId u, NodeId v, const Reachability& reach) {
-  size_t pu = PositionOf(u);
-  size_t pv = PositionOf(v);
-  if (pu == npos || pv == npos || pu >= pv) return;
-  // Collect L[u:v] ∩ desc-or-self(v), preserving relative order, and move
-  // it immediately in front of u: with the new edge (u, v) those nodes are
-  // descendants of u and must precede it. Everything else in the window
-  // keeps its relative order; Section 3.4 shows no other constraint can be
-  // violated (a non-descendant of v in the window can be neither an
-  // ancestor of a mover nor a descendant of one below v).
-  std::vector<NodeId> movers, keepers;
-  for (size_t i = pu; i <= pv; ++i) {
-    NodeId x = order_[i];
-    if (x == v || reach.IsAncestor(v, x)) {
-      movers.push_back(x);
-    } else {
-      keepers.push_back(x);
-    }
-  }
-  size_t w = pu;
-  for (NodeId x : movers) order_[w++] = x;
-  for (NodeId x : keepers) order_[w++] = x;
-  Reindex(pu);
 }
 
 Status TopoOrder::Check(const DagView& dag) const {

@@ -9,8 +9,6 @@
 
 namespace xvu {
 
-class Reachability;
-
 /// The topological order L of Section 3.1: a list of all DAG nodes such
 /// that u precedes v only if u is NOT an ancestor of v — i.e. descendants
 /// come first, ancestors later (the direction required by Algorithm Reach's
@@ -30,28 +28,10 @@ class TopoOrder {
   size_t PositionOf(NodeId v) const;
   bool Contains(NodeId v) const { return PositionOf(v) != npos; }
 
-  /// Removes `v` from L (element removal never invalidates the relative
-  /// order of the remaining elements).
-  void Remove(NodeId v);
-
-  /// Inserts `v` immediately after position `pos` (or at the front when
-  /// pos == npos). Used by the insertion-maintenance merge.
-  void InsertAfter(NodeId v, size_t pos);
-
-  /// The swap(L, u, v) primitive of Section 3.4: after inserting edge
-  /// (u, v) where u currently precedes v, moves the nodes of
-  /// L[u:v] ∩ desc-or-self(v) immediately in front of u, restoring a valid
-  /// topological order. `reach` must already contain the reachability of
-  /// the updated DAG. Cost O(|L[u:v]|).
-  void Swap(NodeId u, NodeId v, const Reachability& reach);
-
   /// Verifies validity against `dag`: for every edge (p, c), c precedes p.
   Status Check(const DagView& dag) const;
 
  private:
-  void Reindex(size_t from);
-  void EnsurePos(NodeId v);
-
   std::vector<NodeId> order_;
   /// pos_[v] = index of v in order_, npos if absent. Dense by NodeId.
   std::vector<size_t> pos_;

@@ -137,21 +137,6 @@ TEST(TopoOrder, DetectsCycle) {
   EXPECT_FALSE(TopoOrder::Compute(dag).ok());
 }
 
-TEST(TopoOrder, RemoveKeepsValidity) {
-  DagView dag = RandomDag(50, 0.3, 9);
-  auto topo = TopoOrder::Compute(dag);
-  ASSERT_TRUE(topo.ok());
-  // Remove a leaf-ish node from L and the dag consistently.
-  NodeId victim = topo->order()[0];  // first = no live descendants
-  for (NodeId p : std::vector<NodeId>(dag.parents(victim))) {
-    ASSERT_TRUE(dag.RemoveEdge(p, victim).ok());
-  }
-  ASSERT_TRUE(dag.RemoveNode(victim).ok());
-  topo->Remove(victim);
-  EXPECT_TRUE(topo->Check(dag).ok());
-  EXPECT_EQ(topo->PositionOf(victim), TopoOrder::npos);
-}
-
 TEST(Reachability, MatchesNaiveOnRandomDags) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     DagView dag = RandomDag(150, 0.5, seed);
@@ -182,15 +167,24 @@ TEST(Reachability, StrictAndTransitive) {
   EXPECT_EQ(m.size(), 3u);
 }
 
+/// Replaces d's ancestor row with `row` (sorted, without d) in one bulk
+/// SetAncestorRows call.
+void SetRow(Reachability* m, NodeId d, Reachability::Row row,
+            Reachability::Pairs* added, Reachability::Pairs* removed) {
+  std::vector<std::pair<NodeId, Reachability::Row>> rows;
+  rows.emplace_back(d, std::move(row));
+  m->SetAncestorRows(std::move(rows), added, removed);
+}
+
 TEST(Reachability, InsertEraseBookkeeping) {
   Reachability m;
   Reachability::Pairs added, removed;
-  m.InsertProduct({1}, {2}, &added);
+  SetRow(&m, 2, {1}, &added, &removed);
   EXPECT_EQ(added, (Reachability::Pairs{{1, 2}}));
   added.clear();
-  m.InsertProduct({1}, {2}, &added);  // duplicate
-  m.InsertProduct({3}, {3}, &added);  // reflexive pairs refused
+  SetRow(&m, 2, {1}, &added, &removed);  // unchanged row
   EXPECT_TRUE(added.empty());
+  EXPECT_TRUE(removed.empty());
   EXPECT_EQ(m.size(), 1u);
   EXPECT_EQ(m.Descendants(1), Reachability::Row{2});
   EXPECT_EQ(m.Ancestors(2), Reachability::Row{1});
@@ -204,11 +198,9 @@ TEST(Reachability, InsertEraseBookkeeping) {
 
 TEST(Reachability, SetAncestorRowsReportsChanges) {
   Reachability m;
-  m.InsertProduct({1, 2, 3}, {5}, nullptr);
-  std::vector<std::pair<NodeId, Reachability::Row>> rows;
-  rows.emplace_back(5, Reachability::Row{2, 4});
+  SetRow(&m, 5, {1, 2, 3}, nullptr, nullptr);
   Reachability::Pairs added, removed;
-  m.SetAncestorRows(std::move(rows), &added, &removed);
+  SetRow(&m, 5, {2, 4}, &added, &removed);
   EXPECT_EQ(added, (Reachability::Pairs{{4, 5}}));
   EXPECT_EQ(removed, (Reachability::Pairs{{1, 5}, {3, 5}}));
   EXPECT_EQ(m.size(), 2u);
@@ -313,12 +305,15 @@ TEST(Reachability, RowModelFuzzMatchesPairSetReference) {
       switch (rng.Below(6)) {
         case 0: {
           auto [a, d] = held_or_random();
-          Reachability::Pairs want_added, added;
+          Reachability::Pairs want_added, added, removed;
+          Reachability::Row row = m.Ancestors(d);
           if (a != d && ref.emplace(a, d).second) {
             want_added.emplace_back(a, d);
+            row.insert(std::lower_bound(row.begin(), row.end(), a), a);
           }
-          m.InsertProduct({a}, {d}, &added);
+          SetRow(&m, d, std::move(row), &added, &removed);
           EXPECT_EQ(added, want_added) << ctx;
+          EXPECT_TRUE(removed.empty()) << ctx;
           break;
         }
         case 1: {
@@ -361,16 +356,21 @@ TEST(Reachability, RowModelFuzzMatchesPairSetReference) {
           anc.erase(std::unique(anc.begin(), anc.end()), anc.end());
           Reachability::Row desc = RandomRow(&rng, rng.Below(2000));
           Reachability::Pairs want_added;
-          for (NodeId a : anc) {
-            for (NodeId d : desc) {
+          std::vector<std::pair<NodeId, Reachability::Row>> rows;
+          for (NodeId d : desc) {
+            Reachability::Row row = m.Ancestors(d);
+            for (NodeId a : anc) {
               if (a != d && ref.emplace(a, d).second) {
                 want_added.emplace_back(a, d);
+                row.insert(std::lower_bound(row.begin(), row.end(), a), a);
               }
             }
+            rows.emplace_back(d, std::move(row));
           }
-          Reachability::Pairs added;
-          m.InsertProduct(anc, desc, &added);
+          Reachability::Pairs added, removed;
+          m.SetAncestorRows(std::move(rows), &added, &removed);
           EXPECT_EQ(Sorted(added), Sorted(want_added)) << ctx;
+          EXPECT_TRUE(removed.empty()) << ctx;
           break;
         }
         case 4: {
@@ -434,36 +434,6 @@ TEST(Reachability, RowModelFuzzMatchesPairSetReference) {
       for (NodeId d : naive.Descendants(a)) closure.emplace(a, d);
     }
     ExpectRowModel(m, closure, "seed " + std::to_string(seed) + " closure");
-  }
-}
-
-TEST(TopoOrder, SwapRestoresOrderAfterEdgeInsert) {
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
-    DagView dag = RandomDag(120, 0.4, seed);
-    auto topo = TopoOrder::Compute(dag);
-    ASSERT_TRUE(topo.ok());
-    Reachability m = Reachability::Compute(dag, *topo);
-    // Pick u before v in L with v not an ancestor of u (no cycle), insert
-    // edge (u, v), update M, then Swap must restore validity.
-    const auto& order = topo->order();
-    bool done = false;
-    for (size_t i = 0; i < order.size() && !done; ++i) {
-      for (size_t j = i + 1; j < order.size() && !done; ++j) {
-        NodeId u = order[i], v = order[j];
-        if (m.IsAncestor(v, u) || dag.HasEdge(u, v)) continue;
-        dag.AddEdge(u, v);
-        // Update M: anc-or-self(u) x desc-or-self(v).
-        Reachability::Row ancs = m.Ancestors(u);
-        ancs.insert(std::lower_bound(ancs.begin(), ancs.end(), u), u);
-        Reachability::Row descs = m.Descendants(v);
-        descs.insert(std::lower_bound(descs.begin(), descs.end(), v), v);
-        m.InsertProduct(ancs, descs, nullptr);
-        topo->Swap(u, v, m);
-        EXPECT_TRUE(topo->Check(dag).ok()) << "seed " << seed;
-        done = true;
-      }
-    }
-    ASSERT_TRUE(done);
   }
 }
 

@@ -1,8 +1,8 @@
 // Fault-injection fuzz over every compiled-in fail-point site
 // (src/common/failpoint.h): for each site and each hit index N that a
-// reference run records, a fresh system runs the same workload with the
-// site armed to fail on its Nth hit, and the harness proves the
-// all-or-nothing contract:
+// reference run records, a fresh system (optionally warmed by committed
+// statements) runs the same workload with the site armed to fail on its
+// Nth hit, and the harness proves the all-or-nothing contract:
 //
 //  - a rejected op leaves the system bit-identical to its pre-op state
 //    (DebugFingerprint over base tables, view store, DAG layout, M, L,
@@ -88,16 +88,28 @@ FailPoints::Trigger NthTrigger(uint64_t n) {
 
 /// Runs `op` (which must succeed fault-free) under every (site, Nth-hit)
 /// combination the discovery pass records, checking rollback bit-identity
-/// and retry convergence against the never-faulted reference.
+/// and retry convergence against the never-faulted reference. Every run —
+/// the discovery pass and each swept attempt — first commits the
+/// statements of `prefix`, so the op can start from M and L that earlier
+/// writes maintained instead of from Create's.
 void SweepAllSites(const std::function<std::unique_ptr<UpdateSystem>()>& make,
                    const std::function<Status(UpdateSystem&)>& op,
-                   size_t min_swept) {
+                   size_t min_swept,
+                   const std::vector<std::string>& prefix = {}) {
+  auto start = [&] {
+    auto sys = make();
+    for (const std::string& stmt : prefix) {
+      Status st = sys->ApplyStatement(stmt);
+      EXPECT_TRUE(st.ok()) << stmt << ": " << st.ToString();
+    }
+    return sys;
+  };
   // Discovery: count every site's hits in one clean run.
   std::map<std::string, uint64_t> hits;
   std::string reference_fp;
   std::string reference_fp_relaxed;
   {
-    auto sys = make();
+    auto sys = start();
     FailPoints::Instance().ArmAllCounting();
     Status st = op(*sys);
     for (const std::string& site : FailPoints::AllSites()) {
@@ -114,7 +126,7 @@ void SweepAllSites(const std::function<std::unique_ptr<UpdateSystem>()>& make,
     for (uint64_t n = 1; n <= count; ++n) {
       SCOPED_TRACE(site + " hit #" + std::to_string(n));
       ++swept;
-      auto sys = make();
+      auto sys = start();
       const std::string pre_fp = StripCache(sys->DebugFingerprint());
 
       FailPoints::Instance().Arm(site, NthTrigger(n));
@@ -189,6 +201,26 @@ TEST(FaultInjection, SingleDeleteSurvivesEverySiteAndHit) {
   }, /*min_swept=*/2);
 }
 
+/// Committed before each run of the warm sweeps: one statement insert and
+/// one statement delete.
+const std::vector<std::string> kWarmPrefix = {
+    "insert student(S07, Grace) into course[cno=\"CS650\"]/takenBy",
+    "delete //student[ssn=\"S03\"]",
+};
+
+TEST(FaultInjection, SingleInsertAfterCommittedWritesSurvivesEverySiteAndHit) {
+  SweepAllSites([] { return MakeSystem(); }, [](UpdateSystem& sys) {
+    return sys.ApplyInsert("student", {S("S08"), S("Ada")},
+                           P("course[cno=\"CS240\"]/takenBy"));
+  }, /*min_swept=*/3, kWarmPrefix);
+}
+
+TEST(FaultInjection, SingleDeleteAfterCommittedWritesSurvivesEverySiteAndHit) {
+  SweepAllSites([] { return MakeSystem(); }, [](UpdateSystem& sys) {
+    return sys.ApplyDelete(P("//student[ssn=\"S02\"]"));
+  }, /*min_swept=*/2, kWarmPrefix);
+}
+
 TEST(FaultInjection, MinimalDeleteSurvivesEverySiteAndHit) {
   UpdateSystem::Options options;
   options.minimal_deletions = true;
@@ -259,7 +291,8 @@ TEST(FaultInjection, ProbabilisticArmingIsDeterministic) {
     t.one_shot = false;
     FailPoints::Instance().Arm(failpoints::kBatchApplyConnect, t);
     Status st = sys->ApplyBatch(batch);
-    auto stats = FailPoints::Instance().GetStats(failpoints::kBatchApplyConnect);
+    auto stats =
+        FailPoints::Instance().GetStats(failpoints::kBatchApplyConnect);
     FailPoints::Instance().DisarmAll();
     return std::make_pair(st.ToString(), stats.fires);
   };

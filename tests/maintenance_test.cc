@@ -1,8 +1,16 @@
+// The paper's per-update maintenance of M and L (Fig.7/8, Section 3.4) is
+// the one-update window of the engine's ∆V-journal merge. These scenarios
+// run MaintenanceEngine::MaintainBatch forced to kIncrementalMerge over
+// such windows and hold M and L to a from-scratch recompute.
+
 #include <gtest/gtest.h>
 
+#include <string>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
-#include "src/dag/maintenance.h"
+#include "src/dag/maintenance_engine.h"
 #include "tests/test_util.h"
 
 namespace xvu {
@@ -10,16 +18,29 @@ namespace {
 
 using testing_util::RandomDag;
 
-/// Recompute-from-scratch oracle: M and L of the current DAG.
+/// Brings `engine` forward over `dag`'s pending journal window through the
+/// incremental merge and returns the merge's delta.
+MaintenanceDelta Merge(MaintenanceEngine* engine, DagView* dag) {
+  MaintenanceEngine::BatchOptions options;
+  options.strategy = MaintenanceStrategy::kIncrementalMerge;
+  MaintenanceEngine::BatchReport report;
+  Status st = engine->MaintainBatch(dag, options, &report);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(report.used, MaintenanceStrategy::kIncrementalMerge);
+  return report.delta;
+}
+
+/// Recompute-from-scratch oracle: M and L of the current DAG. L must be
+/// exactly Kahn's order, which is what rollback's Rebuild restores.
 void ExpectStructuresMatchRecompute(const DagView& dag,
-                                    const Reachability& m,
-                                    const TopoOrder& topo,
+                                    const MaintenanceEngine& engine,
                                     const std::string& context) {
   auto fresh_topo = TopoOrder::Compute(dag);
   ASSERT_TRUE(fresh_topo.ok()) << context;
-  Reachability fresh_m = Reachability::Compute(dag, *fresh_topo);
-  EXPECT_TRUE(m == fresh_m) << context << ": reachability diverged";
-  EXPECT_TRUE(topo.Check(dag).ok()) << context << ": topo order invalid";
+  EXPECT_TRUE(engine.reach() == Reachability::Compute(dag, *fresh_topo))
+      << context << ": reachability diverged";
+  EXPECT_EQ(engine.topo().order(), fresh_topo->order())
+      << context << ": L differs from TopoOrder::Compute";
 }
 
 /// Attaches a synthetic "published subtree" of `k` new nodes to `dag`:
@@ -32,8 +53,9 @@ std::pair<NodeId, std::vector<NodeId>> AttachSubtree(DagView* dag, size_t k,
   std::vector<NodeId> fresh;
   for (size_t i = 0; i < k; ++i) {
     fresh.push_back(dag->GetOrAddNode(
-        "new", {Value::Int(static_cast<int64_t>(1000000 + rng->Next() % 1000000)),
-                Value::Int(static_cast<int64_t>(i))}));
+        "new",
+        {Value::Int(static_cast<int64_t>(1000000 + rng->Next() % 1000000)),
+         Value::Int(static_cast<int64_t>(i))}));
   }
   for (size_t i = 0; i + 1 < k; ++i) {
     dag->AddEdge(fresh[i], fresh[i + 1]);
@@ -50,12 +72,11 @@ std::pair<NodeId, std::vector<NodeId>> AttachSubtree(DagView* dag, size_t k,
   return {fresh.empty() ? kInvalidNode : fresh[0], fresh};
 }
 
-TEST(MaintainInsert, MatchesRecomputeOnRandomScenarios) {
+TEST(MergeInsertWindow, MatchesRecomputeOnRandomScenarios) {
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     DagView dag = RandomDag(80, 0.35, seed);
-    auto topo = TopoOrder::Compute(dag);
-    ASSERT_TRUE(topo.ok());
-    Reachability m = Reachability::Compute(dag, *topo);
+    MaintenanceEngine engine;
+    ASSERT_TRUE(engine.Rebuild(dag).ok());
     Rng rng(seed * 31);
 
     auto [sroot, fresh] = AttachSubtree(&dag, 1 + rng.Below(12), &rng);
@@ -69,30 +90,25 @@ TEST(MaintainInsert, MatchesRecomputeOnRandomScenarios) {
       if (cone_set.count(v) == 0 && rng.Chance(0.1)) targets.push_back(v);
     }
     if (targets.empty()) targets.push_back(dag.root());
-    std::vector<NodeId> connected;
-    for (NodeId u : targets) {
-      if (dag.AddEdge(u, sroot)) connected.push_back(u);
-    }
+    for (NodeId u : targets) dag.AddEdge(u, sroot);
 
-    MaintenanceDelta delta;
-    ASSERT_TRUE(MaintainInsert(dag, sroot, fresh, connected, &m, &*topo,
-                               &delta)
-                    .ok());
-    ExpectStructuresMatchRecompute(dag, m, *topo,
+    MaintenanceDelta delta = Merge(&engine, &dag);
+    ExpectStructuresMatchRecompute(dag, engine,
                                    "insert seed " + std::to_string(seed));
+    EXPECT_TRUE(delta.removed_nodes.empty());
     // Every reported ∆M pair is actually present.
     for (const auto& [a, d] : delta.m_inserted) {
-      EXPECT_TRUE(m.IsAncestor(a, d));
+      EXPECT_TRUE(engine.reach().IsAncestor(a, d));
     }
   }
 }
 
-TEST(MaintainInsert, SharedSubtreeRootAlreadyPresent) {
+TEST(MergeInsertWindow, SharedSubtreeRootAlreadyPresent) {
   // Inserting an existing node under a new parent (pure connect edge).
   DagView dag = RandomDag(40, 0.3, 3);
-  auto topo = TopoOrder::Compute(dag);
-  ASSERT_TRUE(topo.ok());
-  Reachability m = Reachability::Compute(dag, *topo);
+  MaintenanceEngine engine;
+  ASSERT_TRUE(engine.Rebuild(dag).ok());
+  const Reachability& m = engine.reach();
   // Find u, v with v not ancestor-or-self of u and no edge (u, v).
   NodeId u = kInvalidNode, v = kInvalidNode;
   for (NodeId a : dag.LiveNodes()) {
@@ -107,17 +123,15 @@ TEST(MaintainInsert, SharedSubtreeRootAlreadyPresent) {
   }
   ASSERT_NE(u, kInvalidNode);
   dag.AddEdge(u, v);
-  MaintenanceDelta delta;
-  ASSERT_TRUE(MaintainInsert(dag, v, {}, {u}, &m, &*topo, &delta).ok());
-  ExpectStructuresMatchRecompute(dag, m, *topo, "shared-root connect");
+  Merge(&engine, &dag);
+  ExpectStructuresMatchRecompute(dag, engine, "shared-root connect");
 }
 
-TEST(MaintainDelete, MatchesRecomputeOnRandomScenarios) {
+TEST(MergeDeleteWindow, MatchesRecomputeOnRandomScenarios) {
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     DagView dag = RandomDag(80, 0.35, seed + 100);
-    auto topo = TopoOrder::Compute(dag);
-    ASSERT_TRUE(topo.ok());
-    Reachability m = Reachability::Compute(dag, *topo);
+    MaintenanceEngine engine;
+    ASSERT_TRUE(engine.Rebuild(dag).ok());
     Rng rng(seed * 17);
 
     // Pick non-root targets and drop a random subset of their incoming
@@ -138,9 +152,8 @@ TEST(MaintainDelete, MatchesRecomputeOnRandomScenarios) {
       }
     }
 
-    MaintenanceDelta delta;
-    ASSERT_TRUE(MaintainDelete(&dag, targets, &m, &*topo, &delta).ok());
-    ExpectStructuresMatchRecompute(dag, m, *topo,
+    MaintenanceDelta delta = Merge(&engine, &dag);
+    ExpectStructuresMatchRecompute(dag, engine,
                                    "delete seed " + std::to_string(seed));
 
     // After GC, everything alive is reachable from the root.
@@ -150,7 +163,7 @@ TEST(MaintainDelete, MatchesRecomputeOnRandomScenarios) {
   }
 }
 
-TEST(MaintainDelete, CascadingCollection) {
+TEST(MergeDeleteWindow, CascadingCollection) {
   // r -> a -> b -> c; deleting edge (r, a) collects the whole chain.
   DagView dag;
   NodeId r = dag.GetOrAddNode("r", {});
@@ -161,20 +174,19 @@ TEST(MaintainDelete, CascadingCollection) {
   dag.AddEdge(r, a);
   dag.AddEdge(a, b);
   dag.AddEdge(b, c);
-  auto topo = TopoOrder::Compute(dag);
-  ASSERT_TRUE(topo.ok());
-  Reachability m = Reachability::Compute(dag, *topo);
+  MaintenanceEngine engine;
+  ASSERT_TRUE(engine.Rebuild(dag).ok());
 
   ASSERT_TRUE(dag.RemoveEdge(r, a).ok());
-  MaintenanceDelta delta;
-  ASSERT_TRUE(MaintainDelete(&dag, {a}, &m, &*topo, &delta).ok());
-  EXPECT_EQ(delta.removed_nodes.size(), 3u);
+  MaintenanceDelta delta = Merge(&engine, &dag);
+  EXPECT_EQ(delta.removed_nodes, (std::vector<NodeId>{a, b, c}));
   EXPECT_EQ(delta.orphan_edges.size(), 2u);  // (a,b), (b,c)
   EXPECT_EQ(dag.num_nodes(), 1u);
-  EXPECT_EQ(m.size(), 0u);
+  EXPECT_EQ(engine.reach().size(), 0u);
+  ExpectStructuresMatchRecompute(dag, engine, "cascade");
 }
 
-TEST(MaintainDelete, SharedSubtreeSurvives) {
+TEST(MergeDeleteWindow, SharedSubtreeSurvives) {
   // Example 6's shape: the CS320 subtree is shared; deleting it from one
   // parent keeps it alive under the other and only removes reachability
   // pairs along the severed path.
@@ -190,37 +202,87 @@ TEST(MaintainDelete, SharedSubtreeSurvives) {
   dag.AddEdge(p1, shared);
   dag.AddEdge(p2, shared);
   dag.AddEdge(shared, leaf);
-  auto topo = TopoOrder::Compute(dag);
-  ASSERT_TRUE(topo.ok());
-  Reachability m = Reachability::Compute(dag, *topo);
-  EXPECT_TRUE(m.IsAncestor(p1, leaf));
+  MaintenanceEngine engine;
+  ASSERT_TRUE(engine.Rebuild(dag).ok());
+  EXPECT_TRUE(engine.reach().IsAncestor(p1, leaf));
 
   ASSERT_TRUE(dag.RemoveEdge(p1, shared).ok());
-  MaintenanceDelta delta;
-  ASSERT_TRUE(MaintainDelete(&dag, {shared}, &m, &*topo, &delta).ok());
+  MaintenanceDelta delta = Merge(&engine, &dag);
   EXPECT_TRUE(delta.removed_nodes.empty());
   EXPECT_TRUE(dag.alive(shared));
-  EXPECT_FALSE(m.IsAncestor(p1, shared));
-  EXPECT_FALSE(m.IsAncestor(p1, leaf));
-  EXPECT_TRUE(m.IsAncestor(p2, leaf));  // the other path is intact
-  ExpectStructuresMatchRecompute(dag, m, *topo, "shared survive");
+  EXPECT_FALSE(engine.reach().IsAncestor(p1, shared));
+  EXPECT_FALSE(engine.reach().IsAncestor(p1, leaf));
+  EXPECT_TRUE(engine.reach().IsAncestor(p2, leaf));  // the other path
+  ExpectStructuresMatchRecompute(dag, engine, "shared survive");
 }
 
-TEST(MaintainDelete, RootNeverCollected) {
+TEST(MergeDeleteWindow, RootNeverCollected) {
   DagView dag;
   NodeId r = dag.GetOrAddNode("r", {});
   NodeId a = dag.GetOrAddNode("a", {});
   dag.SetRoot(r);
   dag.AddEdge(r, a);
-  auto topo = TopoOrder::Compute(dag);
-  ASSERT_TRUE(topo.ok());
-  Reachability m = Reachability::Compute(dag, *topo);
+  MaintenanceEngine engine;
+  ASSERT_TRUE(engine.Rebuild(dag).ok());
   ASSERT_TRUE(dag.RemoveEdge(r, a).ok());
-  MaintenanceDelta delta;
-  // Target set includes the root's cone via a: root must survive.
-  ASSERT_TRUE(MaintainDelete(&dag, {a}, &m, &*topo, &delta).ok());
+  Merge(&engine, &dag);
   EXPECT_TRUE(dag.alive(r));
   EXPECT_EQ(dag.num_nodes(), 1u);
+  ExpectStructuresMatchRecompute(dag, engine, "root");
+}
+
+TEST(MergeCandidateGc, OldNodeReattachedUnderFreshNodeSurvives) {
+  // r -> a -> x. One window cuts x from its only parent and re-attaches
+  // it under a node created in the same window: x is a GC candidate,
+  // and so is the fresh node, whose old parent r anchors both.
+  DagView dag;
+  NodeId r = dag.GetOrAddNode("r", {});
+  NodeId a = dag.GetOrAddNode("a", {});
+  NodeId x = dag.GetOrAddNode("x", {});
+  dag.SetRoot(r);
+  dag.AddEdge(r, a);
+  dag.AddEdge(a, x);
+  MaintenanceEngine engine;
+  ASSERT_TRUE(engine.Rebuild(dag).ok());
+
+  NodeId f = dag.GetOrAddNode("f", {});
+  dag.AddEdge(r, f);
+  ASSERT_TRUE(dag.RemoveEdge(a, x).ok());
+  dag.AddEdge(f, x);
+  MaintenanceDelta delta = Merge(&engine, &dag);
+  EXPECT_TRUE(delta.removed_nodes.empty());
+  EXPECT_TRUE(dag.alive(x));
+  EXPECT_TRUE(engine.reach().IsAncestor(f, x));
+  EXPECT_FALSE(engine.reach().IsAncestor(a, x));
+  ExpectStructuresMatchRecompute(dag, engine, "re-attached under fresh");
+}
+
+TEST(MergeCandidateGc, NodeReattachedUnderCollectedNodeIsCollected) {
+  // r -> a -> b and r -> c -> x. One window cuts a off the root, cuts x
+  // from its only parent c, and re-attaches x under b. b is collected
+  // with a, so x, whose only parent is now b, is collected too; c stays.
+  DagView dag;
+  NodeId r = dag.GetOrAddNode("r", {});
+  NodeId a = dag.GetOrAddNode("a", {});
+  NodeId b = dag.GetOrAddNode("b", {});
+  NodeId c = dag.GetOrAddNode("c", {});
+  NodeId x = dag.GetOrAddNode("x", {});
+  dag.SetRoot(r);
+  dag.AddEdge(r, a);
+  dag.AddEdge(a, b);
+  dag.AddEdge(r, c);
+  dag.AddEdge(c, x);
+  MaintenanceEngine engine;
+  ASSERT_TRUE(engine.Rebuild(dag).ok());
+
+  ASSERT_TRUE(dag.RemoveEdge(r, a).ok());
+  ASSERT_TRUE(dag.RemoveEdge(c, x).ok());
+  dag.AddEdge(b, x);
+  MaintenanceDelta delta = Merge(&engine, &dag);
+  EXPECT_EQ(delta.removed_nodes, (std::vector<NodeId>{a, b, x}));
+  EXPECT_TRUE(dag.alive(c));
+  EXPECT_EQ(dag.num_nodes(), 2u);
+  ExpectStructuresMatchRecompute(dag, engine, "re-attached under collected");
 }
 
 TEST(CollectDescOrSelf, BasicAndDiamond) {
