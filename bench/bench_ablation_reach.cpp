@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
+#include "tests/oracles/reachability_naive.h"
 
 namespace xvu {
 namespace bench {
@@ -33,7 +34,7 @@ void BM_NaiveClosure(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   UpdateSystem* sys = SystemFor(n);
   for (auto _ : state) {
-    Reachability m = Reachability::ComputeNaive(sys->dag());
+    Reachability m = NaiveReachability(sys->dag());
     benchmark::DoNotOptimize(&m);
     state.counters["pairs"] = static_cast<double>(m.size());
   }

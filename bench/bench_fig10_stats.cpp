@@ -53,7 +53,8 @@ void BM_Publish(benchmark::State& state) {
     UpdateSystem* sys = FreshSystemFor(n, seed++);
     benchmark::DoNotOptimize(sys);
   }
-  state.counters["dag_nodes"] = static_cast<double>(SystemFor(n)->dag().num_nodes());
+  state.counters["dag_nodes"] =
+      static_cast<double>(SystemFor(n)->dag().num_nodes());
 }
 
 void RegisterAll() {

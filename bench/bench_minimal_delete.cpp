@@ -1,8 +1,8 @@
-// SAT-subsystem and minimal-delete sweep (ISSUE 7's headline numbers).
+// SAT-subsystem and minimal-delete sweep.
 //
 // Part A — solver ablation on hard random 3-SAT at the phase-transition
-// ratio m/n = 4.26: the old recursive DPLL (kept as the correctness
-// oracle) vs the watched-literal CDCL vs the full portfolio. Self-
+// ratio m/n = 4.26: the old recursive DPLL (the correctness oracle in
+// tests/oracles) vs the watched-literal CDCL vs the full portfolio. Self-
 // verifying: all solvers must agree on every instance's verdict, sat
 // models must satisfy, and at the largest size the old DPLL completed the
 // CDCL speedup must be at least XVU_BENCH_SAT_MIN_SPEEDUP (default 5; 0
@@ -32,10 +32,10 @@
 #include "bench/bench_util.h"
 #include "src/common/rng.h"
 #include "src/sat/cdcl.h"
-#include "src/sat/dpll.h"
 #include "src/sat/portfolio.h"
 #include "src/viewupdate/delete.h"
 #include "src/viewupdate/minimal_delete.h"
+#include "tests/oracles/dpll.h"
 
 namespace xvu {
 namespace bench {

@@ -2,15 +2,13 @@
 // with 1/2/4/8 worker lanes must produce bit-identical state and, given
 // enough cores, shrinking wall-clock; (B) insert-translation scaling —
 // batched buddy insertions (the Example 8 SAT gadget, whose new K/G
-// templates join each other symbolically) swept over |∆V| with the
-// template slot index on and off. With the index the symbolic work per
-// ∆V row stays flat (near-linear group translation); without it the
-// cross-template pairs make it grow linearly with |∆V| (quadratic total).
+// templates join each other symbolically) swept over |∆V|. The template
+// slot index keeps the symbolic work per ∆V row flat (near-linear group
+// translation).
 //
 // Structural assertions (always on, deterministic): parallel == serial
-// state/stats/cache for every worker count; indexed == unindexed final
-// state; indexed per-row candidate growth <= 1.3x per |∆V| doubling while
-// the unindexed growth exceeds 1.5x. Wall-clock assertions (speedup with
+// state/stats/cache for every worker count; per-row candidate growth
+// <= 1.3x per |∆V| doubling. Wall-clock assertions (speedup with
 // workers) engage only when the machine has the cores to honor them.
 //
 // Emits BENCH_parallel.json (set XVU_BENCH_JSON to change the name) with
@@ -199,7 +197,7 @@ int Run() {
                 cores);
   }
 
-  // ---- (B) Insert-translation scaling: buddy gadget, index on vs off.
+  // ---- (B) Insert-translation scaling: buddy gadget.
   std::printf("insert translation scaling: |C|=%zu, |dV| up to %zu\n",
               trans_c, max_dv);
   UpdateSystem* probe2 = FreshSystemFor(trans_c, 78);
@@ -211,11 +209,10 @@ int Run() {
   }
   struct ScalePoint {
     size_t dv = 0;
-    double indexed_ms = 0, unindexed_ms = 0;
-    size_t indexed_cands = 0, unindexed_cands = 0;
+    double indexed_ms = 0;
+    size_t indexed_cands = 0;
   };
   std::vector<ScalePoint> curve;
-  bool states_match = true;
   if (max_dv < 8) {
     std::fprintf(stderr, "XVU_BENCH_PAR_MAX_N must be >= 8 (got %zu)\n",
                  max_dv);
@@ -228,60 +225,33 @@ int Run() {
                             ") into //C[cid=\"" +
                             std::to_string(parents[i]) + "\"]/buddies");
     }
+    auto r = MeasureBatch(trans_c, 78, UpdateSystem::Options{}, buddy_stmts,
+                          repeats);
+    if (!r.ok()) {
+      std::fprintf(stderr, "|dV|=%zu: %s\n", dv,
+                   r.status().ToString().c_str());
+      return 1;
+    }
     ScalePoint p;
     p.dv = dv;
-    BatchOutcome indexed_outcome;
-    for (bool use_index : {true, false}) {
-      UpdateSystem::Options options;
-      options.insert.use_template_index = use_index;
-      auto r = MeasureBatch(trans_c, 78, options, buddy_stmts, repeats);
-      if (!r.ok()) {
-        std::fprintf(stderr, "|dV|=%zu index=%d: %s\n", dv, (int)use_index,
-                     r.status().ToString().c_str());
-        return 1;
-      }
-      if (use_index) {
-        p.indexed_ms = r->stats.translate_seconds * 1e3;
-        p.indexed_cands = r->stats.symbolic_candidates;
-        indexed_outcome = std::move(*r);
-      } else {
-        p.unindexed_ms = r->stats.translate_seconds * 1e3;
-        p.unindexed_cands = r->stats.symbolic_candidates;
-        // The index is a pure optimization: both settings must land on
-        // the same state.
-        states_match = states_match && r->edges == indexed_outcome.edges &&
-                       r->total_rows == indexed_outcome.total_rows;
-      }
-    }
+    p.indexed_ms = r->stats.translate_seconds * 1e3;
+    p.indexed_cands = r->stats.symbolic_candidates;
     curve.push_back(p);
-    std::printf("  |dV|=%4zu: indexed %8.2f ms (%7zu cands, %5.1f/row)  "
-                "unindexed %8.2f ms (%7zu cands, %5.1f/row)\n",
-                dv, p.indexed_ms, p.indexed_cands,
-                static_cast<double>(p.indexed_cands) / dv, p.unindexed_ms,
-                p.unindexed_cands,
-                static_cast<double>(p.unindexed_cands) / dv);
+    std::printf("  |dV|=%4zu: %8.2f ms (%7zu cands, %5.1f/row)\n", dv,
+                p.indexed_ms, p.indexed_cands,
+                static_cast<double>(p.indexed_cands) / dv);
   }
-  check(states_match, "indexed and all-pairs translation agree on state");
-  bool indexed_linear = true, unindexed_superlinear = false;
+  bool indexed_linear = true;
   for (size_t i = 1; i < curve.size(); ++i) {
     double idx_growth =
         (static_cast<double>(curve[i].indexed_cands) / curve[i].dv) /
         (static_cast<double>(curve[i - 1].indexed_cands) / curve[i - 1].dv);
-    double raw_growth =
-        (static_cast<double>(curve[i].unindexed_cands) / curve[i].dv) /
-        (static_cast<double>(curve[i - 1].unindexed_cands) /
-         curve[i - 1].dv);
-    std::printf("  |dV| %zu -> %zu: per-row growth indexed %.2fx, "
-                "unindexed %.2fx\n",
-                curve[i - 1].dv, curve[i].dv, idx_growth, raw_growth);
+    std::printf("  |dV| %zu -> %zu: per-row growth %.2fx\n", curve[i - 1].dv,
+                curve[i].dv, idx_growth);
     indexed_linear = indexed_linear && idx_growth <= 1.3;
-    unindexed_superlinear = unindexed_superlinear || raw_growth >= 1.5;
   }
   check(indexed_linear,
-        "indexed per-row symbolic work grows <= 1.3x per |dV| doubling");
-  check(unindexed_superlinear,
-        "all-pairs per-row symbolic work grows >= 1.5x (the curve the "
-        "index removes)");
+        "per-row symbolic work grows <= 1.3x per |dV| doubling");
 
   // ---- JSON.
   const char* json_name = std::getenv("XVU_BENCH_JSON");
@@ -303,11 +273,9 @@ int Run() {
     for (size_t i = 0; i < curve.size(); ++i) {
       std::fprintf(f,
                    "%s{\"dv\": %zu, \"indexed_ms\": %.3f, "
-                   "\"indexed_cands\": %zu, \"unindexed_ms\": %.3f, "
-                   "\"unindexed_cands\": %zu}",
+                   "\"indexed_cands\": %zu}",
                    i ? ", " : "", curve[i].dv, curve[i].indexed_ms,
-                   curve[i].indexed_cands, curve[i].unindexed_ms,
-                   curve[i].unindexed_cands);
+                   curve[i].indexed_cands);
     }
     std::fprintf(f, "]}\n}\n");
     std::fclose(f);

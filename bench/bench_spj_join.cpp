@@ -1,13 +1,14 @@
-// SPJ backend sweep: partitioned hash-join pipeline vs the nested-loop
-// reference evaluator, over base relations stored to and mmap-loaded from
-// the XVUR on-disk format (docs/relational-backend.md).
+// SPJ evaluator sweep: the partitioned hash-join pipeline vs the
+// nested-loop reference evaluator (tests/oracles), over base relations
+// stored to and mmap-loaded from the XVUR on-disk format
+// (docs/relational-backend.md).
 //
 // Per size the bench stores a two-table database to disk, loads it back
 // (verifying the roundtrip), and times the same select+join query under
-// both backends. Self-verifying: the two backends' WitnessedRow sequences
-// must be identical (order included), and at sizes >= 100k rows the hash
-// backend must win by at least XVU_BENCH_SPJ_MIN_SPEEDUP (default 10; set
-// 0 under ctest, where shared runners make timing unreliable).
+// both evaluators. Self-verifying: their WitnessedRow sequences must be
+// identical (order included), and at sizes >= 100k rows the hash join
+// must win by at least XVU_BENCH_SPJ_MIN_SPEEDUP (default 10; set 0 under
+// ctest, where shared runners make timing unreliable).
 //
 // Emits BENCH_spj.json (override with XVU_BENCH_JSON), one row per size.
 //
@@ -23,6 +24,7 @@
 #include "src/common/rng.h"
 #include "src/relational/spj.h"
 #include "src/relational/storage.h"
+#include "tests/oracles/spj_nested_loop.h"
 
 namespace xvu {
 namespace bench {
@@ -123,8 +125,8 @@ int Run() {
           "on-disk roundtrip preserves " + std::to_string(n * 2) + " rows");
 
     // Selective probe + join: the shape of a rule's delta evaluation.
-    // The nested-loop backend scans R and rebuilds the S hash per eval;
-    // the hash backend answers from the column indexes.
+    // The nested-loop evaluator scans R and rebuilds the S hash per eval;
+    // the hash join answers from the column indexes.
     SpjQueryBuilder b(&db);
     auto q = b.From("R", "r")
                  .From("S", "s")
@@ -138,13 +140,11 @@ int Run() {
       std::fprintf(stderr, "%s\n", q.status().ToString().c_str());
       return 1;
     }
-    SpjExecOptions nested;
-    nested.backend = SpjExecOptions::Backend::kNestedLoop;
     SpjExecStats stats;
     SpjExecOptions hash;
     hash.stats = &stats;
 
-    auto ref = q->EvalWithWitness(db, {}, nested);
+    auto ref = EvalNestedLoop(*q, db, {});
     auto fast = q->EvalWithWitness(db, {}, hash);
     if (!ref.ok() || !fast.ok()) {
       std::fprintf(stderr, "eval failed\n");
@@ -163,7 +163,7 @@ int Run() {
 
     row.nested_s = MedianSeconds(
         [&] {
-          auto r2 = q->EvalWithWitness(db, {}, nested);
+          auto r2 = EvalNestedLoop(*q, db, {});
           if (!r2.ok() || r2->size() != row.result_rows) std::abort();
         },
         n >= 100000 ? 3 : 5, 1);

@@ -92,8 +92,7 @@ int main(int argc, char** argv) {
   run(*inss);
   std::printf(
       "\n%zu accepted, %zu rejected, %zu used the SAT encoding\n"
-      "time: xpath %.1fms, translate %.1fms, maintenance %.1fms "
-      "(backgroundable)\n",
+      "time: xpath %.1fms, translate %.1fms, maintenance %.1fms\n",
       accepted, rejected, sat_ops, xpath * 1e3, translate * 1e3,
       maintain * 1e3);
 

@@ -75,7 +75,9 @@ Value ParseValueAs(const std::string& text, ValueType type) {
     case ValueType::kString:
       return Value::Str(text);
     case ValueType::kBool:
-      if (text == "true" || text == "T" || text == "1") return Value::Bool(true);
+      if (text == "true" || text == "T" || text == "1") {
+        return Value::Bool(true);
+      }
       if (text == "false" || text == "F" || text == "0") {
         return Value::Bool(false);
       }

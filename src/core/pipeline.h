@@ -184,7 +184,8 @@ class PathEvalCache {
   /// Active batch scope: pre-scope (version, eval) per touched key;
   /// nullopt marks a key that did not exist at BeginScope.
   bool scope_active_ = false;
-  std::unordered_map<std::string, std::optional<std::pair<uint64_t, CachedEval>>>
+  std::unordered_map<std::string,
+                     std::optional<std::pair<uint64_t, CachedEval>>>
       scope_saved_;
   mutable std::mutex mu_;
 };

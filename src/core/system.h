@@ -85,9 +85,10 @@ struct UpdateStats {
   /// distinct-path evaluations fanned out in Phase 1 (= cache misses) and
   /// `symbolic_tasks` the independent side-effect passes of the insert
   /// translation. `symbolic_candidates` counts the symbolic join work
-  /// items examined — near-linear in |∆V| with the template index,
-  /// quadratic without; `dedup_ops` the ops that shared an already-seen
-  /// normal-form key this batch (each cost zero additional cache probes).
+  /// items examined — near-linear in |∆V|, because the template slot
+  /// index narrows the new templates each join step tries; `dedup_ops`
+  /// the ops that shared an already-seen normal-form key this batch (each
+  /// cost zero additional cache probes).
   size_t workers = 1;
   size_t parallel_eval_tasks = 0;
   size_t symbolic_tasks = 0;
@@ -99,8 +100,8 @@ struct UpdateStats {
   /// `sat_propagations`/`sat_conflicts`/`sat_learned_clauses` from the
   /// CDCL lane, `sat_flips` from the WalkSAT lanes. `sat_winner_lane` is
   /// the portfolio's fixed-priority winner (0..K-1 = WalkSAT lane, K =
-  /// CDCL lane, -1 = none / legacy chain) and `sat_seconds` the solver
-  /// wall time inside translate_seconds.
+  /// CDCL lane, -1 = none) and `sat_seconds` the solver wall time inside
+  /// translate_seconds.
   size_t sat_propagations = 0;
   size_t sat_conflicts = 0;
   size_t sat_learned_clauses = 0;

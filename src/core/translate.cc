@@ -50,7 +50,9 @@ Result<Tuple> DeriveEdgeRowOutputs(const EdgeViewInfo& info,
   for (size_t i = 0; i < q.tables().size(); ++i) {
     const Table* bt = base.GetTable(q.tables()[i].table);
     if (bt == nullptr) return Status::NotFound(q.tables()[i].table);
-    for (size_t c = 0; c < bt->schema().arity(); ++c) cells[i].push_back(fresh());
+    for (size_t c = 0; c < bt->schema().arity(); ++c) {
+      cells[i].push_back(fresh());
+    }
   }
   for (const SpjCondition& c : q.conditions()) {
     size_t lc = cells[c.lhs.table_pos][c.lhs.col_idx];

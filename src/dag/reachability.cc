@@ -155,34 +155,6 @@ Reachability Reachability::Compute(const DagView& dag,
   return m;
 }
 
-Reachability Reachability::ComputeNaive(const DagView& dag) {
-  Reachability m;
-  const size_t cap = dag.capacity();
-  m.anc_.resize(cap);
-  m.desc_.resize(cap);
-  // Per-node DFS collecting all descendants; seen[v] == a + 1 marks v as
-  // visited by a's search.
-  std::vector<size_t> seen(cap, 0);
-  for (NodeId a : dag.LiveNodes()) {
-    std::vector<NodeId> stack(dag.children(a).begin(), dag.children(a).end());
-    Row& da = m.desc_[a];
-    while (!stack.empty()) {
-      NodeId v = stack.back();
-      stack.pop_back();
-      if (seen[v] == static_cast<size_t>(a) + 1) continue;
-      seen[v] = static_cast<size_t>(a) + 1;
-      da.push_back(v);
-      for (NodeId c : dag.children(v)) stack.push_back(c);
-    }
-    std::sort(da.begin(), da.end());
-    m.size_ += da.size();
-  }
-  for (size_t a = 0; a < cap; ++a) {
-    for (NodeId d : m.desc_[a]) m.anc_[d].push_back(static_cast<NodeId>(a));
-  }
-  return m;
-}
-
 bool Reachability::IsAncestor(NodeId a, NodeId d) const {
   return d < anc_.size() &&
          std::binary_search(anc_[d].begin(), anc_[d].end(), a);

@@ -38,10 +38,6 @@ class Reachability {
   /// are filled in ascending id order, so they come out sorted.
   static Reachability Compute(const DagView& dag, const TopoOrder& order);
 
-  /// Naive transitive closure via per-node DFS; test oracle and ablation
-  /// baseline.
-  static Reachability ComputeNaive(const DagView& dag);
-
   /// The Fig.4 recurrence for one node: the sorted union of {p} ∪
   /// row_of(p) over `parents`. `row_of` returns a sorted row (M's own
   /// Ancestors, or a caller's not-yet-applied replacement); `scratch` is

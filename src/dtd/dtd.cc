@@ -24,7 +24,8 @@ Status Dtd::AddElement(const std::string& type, Production production) {
   if (productions_.count(type) > 0) {
     return Status::AlreadyExists("element type " + type + " already defined");
   }
-  if (production.kind == ContentKind::kStar && production.children.size() != 1) {
+  if (production.kind == ContentKind::kStar &&
+      production.children.size() != 1) {
     return Status::InvalidArgument("star production needs exactly one child");
   }
   productions_.emplace(type, std::move(production));

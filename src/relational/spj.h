@@ -58,23 +58,13 @@ struct SpjExecStats {
   size_t rows_from_index = 0;    ///< candidate rows produced by index probes
 };
 
-/// Knobs of the relational query backend. The default configuration is the
-/// partitioned hash-join pipeline; kNestedLoop keeps the pre-existing
-/// single-pass evaluator as a reference implementation (the randomized
-/// oracle in tests/spj_join_test.cc checks the two bit-identical, result
-/// order included).
+/// Tuning of the partitioned hash-join evaluator (spj_exec.cc): local
+/// equality selections and small-outer joins go through the tables' lazy
+/// per-column indexes (Table::EnsureColumnIndex), and a greedy pass
+/// orders the joins. The nested-loop reference evaluator in
+/// tests/oracles/ is fuzz-checked bit-identical to it, result order
+/// included (tests/spj_join_test.cc).
 struct SpjExecOptions {
-  enum class Backend {
-    kHashJoin,    ///< column indexes + greedy order + partitioned joins
-    kNestedLoop,  ///< reference: fixed FROM order, per-step rebuilt hashes
-  };
-  Backend backend = Backend::kHashJoin;
-  /// Serve local equality selections and small-outer joins through the
-  /// tables' lazy per-column indexes (Table::EnsureColumnIndex).
-  bool use_column_indexes = true;
-  /// Greedy join-order pass: start from the most selective occurrence and
-  /// grow along equi-links. Off = original FROM order.
-  bool reorder_joins = true;
   /// Use per-binding index probes instead of a build/probe pass when
   /// |bound side| * index_probe_ratio <= |candidate side|.
   size_t index_probe_ratio = 8;
@@ -119,10 +109,10 @@ class SpjQuery {
     std::vector<Tuple> sources;  ///< sources[i] is the row of tables()[i].
   };
 
-  /// Like Eval but keeps witnesses and does not deduplicate. Both backends
-  /// emit rows in the same canonical order — lexicographic in the source
-  /// rows' table-scan positions over the FROM list — so results are
-  /// bit-identical sequences, not just equal sets.
+  /// Like Eval but keeps witnesses and does not deduplicate. Rows come in
+  /// a canonical order — lexicographic in the source rows' table-scan
+  /// positions over the FROM list — whatever join order the evaluator
+  /// picks, so results are bit-identical sequences, not just equal sets.
   Result<std::vector<WitnessedRow>> EvalWithWitness(
       const Database& db, const Tuple& params,
       const SpjExecOptions& opts = SpjExecOptions()) const;
@@ -130,7 +120,10 @@ class SpjQuery {
   /// EvalWithWitness with FROM occurrence `pinned_pos` restricted to the
   /// single row `pinned_row` — the delta-join primitive of incremental
   /// publishing: the new rows a base insertion contributes are exactly the
-  /// join results that use it.
+  /// join results that use it. A `pinned_pos` past the FROM list pins
+  /// nothing. This is the hash-join evaluator (spj_exec.cc): per-occurrence
+  /// candidates via column indexes, greedy join order, radix-partitioned
+  /// build/probe or index-probe steps, canonical result order.
   Result<std::vector<WitnessedRow>> EvalWithWitnessPinned(
       const Database& db, const Tuple& params, size_t pinned_pos,
       const Tuple& pinned_row,
@@ -173,19 +166,6 @@ class SpjQuery {
 
  private:
   friend class SpjQueryBuilder;
-
-  /// The pre-existing evaluator: fixed FROM order, full scans, per-step
-  /// rebuilt hash tables. Kept as the oracle/reference backend.
-  Result<std::vector<WitnessedRow>> EvalPinnedNestedLoop(
-      const Database& db, const Tuple& params, size_t pinned_pos,
-      const Tuple& pinned_row) const;
-
-  /// The hash-join backend (spj_exec.cc): per-occurrence candidates via
-  /// column indexes, greedy join order, radix-partitioned build/probe or
-  /// index-probe steps, canonical result order.
-  Result<std::vector<WitnessedRow>> EvalPinnedHashJoin(
-      const Database& db, const Tuple& params, size_t pinned_pos,
-      const Tuple& pinned_row, const SpjExecOptions& opts) const;
 
   std::vector<TableRef> tables_;
   std::vector<SpjCondition> conditions_;

@@ -1,4 +1,5 @@
-// The partitioned hash-join backend of SpjQuery (docs/relational-backend.md).
+// SpjQuery's evaluator: a partitioned hash-join pipeline
+// (docs/relational-backend.md).
 //
 // Evaluation runs in three phases:
 //  1. Access planning: per FROM occurrence, pick the cheapest way to
@@ -19,9 +20,9 @@
 //
 // The result is sorted into the canonical order — lexicographic in the
 // source rows' table-scan slots over the FROM list — which is exactly the
-// order the nested-loop reference evaluator enumerates, so the two
-// backends return bit-identical WitnessedRow sequences (fuzz-checked by
-// tests/spj_join_test.cc).
+// order a nested-loop evaluation in FROM order enumerates. The reference
+// evaluator in tests/oracles/ does that, and tests/spj_join_test.cc
+// fuzz-checks the two bit-identical.
 
 #include <algorithm>
 #include <cstdint>
@@ -51,7 +52,7 @@ struct Path {
 
 }  // namespace
 
-Result<std::vector<SpjQuery::WitnessedRow>> SpjQuery::EvalPinnedHashJoin(
+Result<std::vector<SpjQuery::WitnessedRow>> SpjQuery::EvalWithWitnessPinned(
     const Database& db, const Tuple& params, size_t pinned_pos,
     const Tuple& pinned_row, const SpjExecOptions& opts) const {
   if (opts.stats != nullptr) *opts.stats = SpjExecStats{};
@@ -127,7 +128,6 @@ Result<std::vector<SpjQuery::WitnessedRow>> SpjQuery::EvalPinnedHashJoin(
       continue;
     }
     est[pos] = bases[pos]->size();
-    if (!opts.use_column_indexes) continue;
     for (const SpjCondition* c : local[pos]) {
       Value v;
       if (c->kind == SpjCondition::Kind::kColConst) {
@@ -152,40 +152,36 @@ Result<std::vector<SpjQuery::WitnessedRow>> SpjQuery::EvalPinnedHashJoin(
   std::vector<size_t> order;
   order.reserve(T);
   std::vector<uint8_t> planned(T, 0);
-  if (opts.reorder_joins) {
-    size_t first = pinned_pos < T ? pinned_pos : 0;
-    if (pinned_pos >= T) {
-      for (size_t pos = 1; pos < T; ++pos) {
-        if (est[pos] < est[first]) first = pos;
-      }
+  size_t first = pinned_pos < T ? pinned_pos : 0;
+  if (pinned_pos >= T) {
+    for (size_t pos = 1; pos < T; ++pos) {
+      if (est[pos] < est[first]) first = pos;
     }
-    order.push_back(first);
-    planned[first] = 1;
-    while (order.size() < T) {
-      size_t best = SIZE_MAX;
-      bool best_linked = false;
-      for (size_t pos = 0; pos < T; ++pos) {
-        if (planned[pos]) continue;
-        bool linked = false;
-        for (const SpjCondition* c : cross) {
-          if (c->kind != SpjCondition::Kind::kColCol) continue;
-          size_t a = c->lhs.table_pos, b = c->rhs.table_pos;
-          if ((a == pos && planned[b]) || (b == pos && planned[a])) {
-            linked = true;
-            break;
-          }
-        }
-        if (best == SIZE_MAX || (linked && !best_linked) ||
-            (linked == best_linked && est[pos] < est[best])) {
-          best = pos;
-          best_linked = linked;
+  }
+  order.push_back(first);
+  planned[first] = 1;
+  while (order.size() < T) {
+    size_t best = SIZE_MAX;
+    bool best_linked = false;
+    for (size_t pos = 0; pos < T; ++pos) {
+      if (planned[pos]) continue;
+      bool linked = false;
+      for (const SpjCondition* c : cross) {
+        if (c->kind != SpjCondition::Kind::kColCol) continue;
+        size_t a = c->lhs.table_pos, b = c->rhs.table_pos;
+        if ((a == pos && planned[b]) || (b == pos && planned[a])) {
+          linked = true;
+          break;
         }
       }
-      order.push_back(best);
-      planned[best] = 1;
+      if (best == SIZE_MAX || (linked && !best_linked) ||
+          (linked == best_linked && est[pos] < est[best])) {
+        best = pos;
+        best_linked = linked;
+      }
     }
-  } else {
-    for (size_t pos = 0; pos < T; ++pos) order.push_back(pos);
+    order.push_back(best);
+    planned[best] = 1;
   }
 
   // Candidate enumeration, lazy per occurrence: index-probe steps fill
@@ -257,7 +253,7 @@ Result<std::vector<SpjQuery::WitnessedRow>> SpjQuery::EvalPinnedHashJoin(
     }
 
     std::vector<Path> next;
-    if (!equi.empty() && opts.use_column_indexes && pos != pinned_pos &&
+    if (!equi.empty() && pos != pinned_pos &&
         paths.size() * opts.index_probe_ratio <= est[pos]) {
       // Index-probe join: the bound side is much smaller than this
       // occurrence's candidate set, so per-binding bucket lookups beat
@@ -401,8 +397,8 @@ Result<std::vector<SpjQuery::WitnessedRow>> SpjQuery::EvalPinnedHashJoin(
   }
 
   // Canonical order: lexicographic in table-scan slots over the FROM list
-  // — exactly the nested-loop evaluator's enumeration order, making the
-  // two backends bit-identical sequences.
+  // — exactly a FROM-order nested loop's enumeration order, whatever join
+  // order ran.
   std::sort(paths.begin(), paths.end(), [&](const Path& a, const Path& b) {
     for (size_t pos = 0; pos < T; ++pos) {
       size_t oa = cands[pos][a.at[pos]].ord;

@@ -115,14 +115,18 @@ class Reader {
   Result<uint32_t> U32() {
     if (off_ + 4 > n_) return Truncated();
     uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p_[off_ + i]) << (8 * i);
+    for (int i = 0; i < 4; ++i) {
+      v |= static_cast<uint32_t>(p_[off_ + i]) << (8 * i);
+    }
     off_ += 4;
     return v;
   }
   Result<uint64_t> U64() {
     if (off_ + 8 > n_) return Truncated();
     uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p_[off_ + i]) << (8 * i);
+    for (int i = 0; i < 8; ++i) {
+      v |= static_cast<uint64_t>(p_[off_ + i]) << (8 * i);
+    }
     off_ += 8;
     return v;
   }

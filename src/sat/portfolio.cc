@@ -45,8 +45,8 @@ bool Definitive(const SatResult& r) {
   return r.kind != SatResult::Kind::kUnknown;
 }
 
-/// One source of truth for the solver counters (ISSUE: benches print
-/// these from the registry instead of hand-plumbed UpdateStats copies).
+/// One source of truth for the solver counters: benches print these
+/// from the registry instead of hand-plumbed UpdateStats copies.
 void AccumulateSatCounters(const SatStats& s) {
   XVU_OBS_COUNT("xvu.sat.propagations", s.propagations);
   XVU_OBS_COUNT("xvu.sat.conflicts", s.conflicts);
@@ -65,7 +65,6 @@ void RecordSatRunMetrics(const SatStats& totals, int winner_lane) {
   XVU_OBS_GAUGE_SET("xvu.sat.winner_lane", winner_lane);
 }
 
-
 SatResult SolvePortfolio(const Cnf& cnf, const PortfolioOptions& options_in,
                          PortfolioStats* stats) {
   PortfolioOptions options = options_in;
@@ -83,10 +82,9 @@ SatResult SolvePortfolio(const Cnf& cnf, const PortfolioOptions& options_in,
   const int cdcl_lane = static_cast<int>(k);
 
   // Sequential fixed-priority solve (lane 0, then CDCL) — exactly the
-  // deterministic-mode winner rule, so this path and a threaded
-  // deterministic run agree bit-for-bit. Used for tiny formulas, for
-  // lane-less configurations, and as the degraded path when lane-thread
-  // creation fails.
+  // winner rule, so this path and a threaded run agree bit-for-bit. Used
+  // for tiny formulas, for lane-less configurations, and as the degraded
+  // path when lane-thread creation fails.
   auto solve_inline = [&]() {
     SatStats totals;
     if (k > 0) {
@@ -135,38 +133,27 @@ SatResult SolvePortfolio(const Cnf& cnf, const PortfolioOptions& options_in,
   std::atomic<bool> cancel{false};
   std::atomic<bool> lane0_done{false};
   std::atomic<bool> cdcl_done{false};
-  std::atomic<int> race_winner{-1};
   std::vector<LaneOutcome> out(k + 1);
 
   // Called by each lane thread right after its solver returns; `out[lane]`
   // is the thread's own slot (no cross-lane reads before the join).
   auto on_finish = [&](int lane) {
-    if (options.deterministic) {
-      // Winner rule: lane 0 if kSat, else CDCL. Cancellation may only
-      // remove lanes whose results can no longer affect that rule:
-      //  - lane 0 kSat        -> everything else is moot;
-      //  - CDCL kUnsat        -> lane 0 cannot possibly find a model;
-      //  - lane 0 + CDCL done -> lanes 1..K-1 were never consulted.
-      if (lane == 0) {
-        lane0_done.store(true);
-        if (out[0].res.kind == SatResult::Kind::kSat) cancel.store(true);
-      } else if (lane == cdcl_lane) {
-        cdcl_done.store(true);
-        if (out[static_cast<size_t>(cdcl_lane)].res.kind ==
-            SatResult::Kind::kUnsat) {
-          cancel.store(true);
-        }
-      }
-      if (lane0_done.load() && cdcl_done.load()) cancel.store(true);
-    } else {
-      // Racing: first definitive result wins and stops everyone else.
-      if (Definitive(out[static_cast<size_t>(lane)].res)) {
-        int expected = -1;
-        if (race_winner.compare_exchange_strong(expected, lane)) {
-          cancel.store(true);
-        }
+    // Winner rule: lane 0 if kSat, else CDCL. Cancellation may only
+    // remove lanes whose results can no longer affect that rule:
+    //  - lane 0 kSat        -> everything else is moot;
+    //  - CDCL kUnsat        -> lane 0 cannot possibly find a model;
+    //  - lane 0 + CDCL done -> lanes 1..K-1 were never consulted.
+    if (lane == 0) {
+      lane0_done.store(true);
+      if (out[0].res.kind == SatResult::Kind::kSat) cancel.store(true);
+    } else if (lane == cdcl_lane) {
+      cdcl_done.store(true);
+      if (out[static_cast<size_t>(cdcl_lane)].res.kind ==
+          SatResult::Kind::kUnsat) {
+        cancel.store(true);
       }
     }
+    if (lane0_done.load() && cdcl_done.load()) cancel.store(true);
   };
 
   auto run_lane = [&](int lane) {
@@ -213,10 +200,10 @@ SatResult SolvePortfolio(const Cnf& cnf, const PortfolioOptions& options_in,
   }
   if (spawn_failed) {
     // Degrade: stop the lanes already racing, then solve inline in the
-    // fixed-priority order. In deterministic mode the result is
-    // bit-identical to the threaded path; only latency suffers. The
-    // partial lanes' results are discarded (their stats were written by
-    // now-joined threads and still accumulate below).
+    // fixed-priority order. The result is bit-identical to the threaded
+    // path; only latency suffers. The partial lanes' results are
+    // discarded (their stats were written by now-joined threads and
+    // still accumulate below).
     cancel.store(true);
     for (std::thread& t : threads) t.join();
     obs::TraceInstant("sat.portfolio.degraded_spawn");
@@ -239,22 +226,8 @@ SatResult SolvePortfolio(const Cnf& cnf, const PortfolioOptions& options_in,
   run_lane(cdcl_lane);
   for (std::thread& t : threads) t.join();
 
-  int winner;
-  if (options.deterministic) {
-    winner = out[0].res.kind == SatResult::Kind::kSat ? 0 : cdcl_lane;
-    if (!Definitive(out[static_cast<size_t>(winner)].res)) winner = -1;
-  } else {
-    winner = race_winner.load();
-    if (winner < 0) {
-      // Every lane gave up (conflict-capped CDCL): fixed fallback order.
-      for (size_t lane = 0; lane <= k; ++lane) {
-        if (Definitive(out[lane].res)) {
-          winner = static_cast<int>(lane);
-          break;
-        }
-      }
-    }
-  }
+  int winner = out[0].res.kind == SatResult::Kind::kSat ? 0 : cdcl_lane;
+  if (!Definitive(out[static_cast<size_t>(winner)].res)) winner = -1;
 
   size_t cancelled = 0;
   SatStats run_totals;

@@ -15,6 +15,13 @@ namespace xvu {
 /// verbatim) racing one complete CDCL lane, sharing a cancellation token
 /// that every solver's inner loop polls.
 ///
+/// All lanes join at a barrier and the fixed-priority winner is picked:
+/// WalkSAT lane 0 if it found a model, else the CDCL lane's verdict.
+/// Because lane 0 and CDCL are each deterministic and complete lanes
+/// never borrow randomness from timing, the returned (kind, model) is
+/// bit-identical for ANY lane count and ANY thread interleaving; extra
+/// lanes only widen the cancellation surface.
+///
 /// The portfolio owns dedicated lane threads — it must not borrow the
 /// repo-wide ThreadPool, whose ParallelFor cannot nest and is already
 /// occupied by the insert translation's symbolic passes when the SAT call
@@ -26,21 +33,11 @@ struct PortfolioOptions {
   /// seeds/noise from it.
   WalkSatOptions walksat;
   CdclOptions cdcl;
-  /// Deterministic mode (default): all lanes join at a barrier and the
-  /// fixed-priority winner is picked — WalkSAT lane 0 if it found a model,
-  /// else the CDCL lane's verdict. Because lane 0 and CDCL are each
-  /// deterministic and complete lanes never borrow randomness from timing,
-  /// the returned (kind, model) is bit-identical for ANY lane count and
-  /// ANY thread interleaving; extra lanes only widen the cancellation
-  /// surface. false = racing mode: the first lane to produce a definitive
-  /// result (kSat, or CDCL's kUnsat) wins and cancels the rest — lower
-  /// latency, timing-dependent model.
-  bool deterministic = true;
   /// Formulas with at most this many clauses are solved inline on the
   /// calling thread (lane 0 then CDCL — the same fixed-priority order, so
-  /// deterministic-mode results are bit-identical to the threaded path).
-  /// The insert translation's encodings are almost always this small;
-  /// thread spawn would dominate.
+  /// results are bit-identical to the threaded path). The insert
+  /// translation's encodings are almost always this small; thread spawn
+  /// would dominate.
   size_t inline_below_clauses = 64;
   /// Wall-clock budget applied to every lane (copied into each lane's
   /// solver options unless that lane already carries a tighter one).
@@ -63,8 +60,8 @@ struct PortfolioStats {
   /// guarantee, never these counters.
   SatStats totals;
   /// True when lane-thread creation failed and the portfolio degraded to
-  /// the inline sequential path (same fixed-priority order, so the
-  /// deterministic-mode result is unchanged — only latency suffers).
+  /// the inline sequential path (same fixed-priority order, so the result
+  /// is unchanged — only latency suffers).
   bool degraded_spawn = false;
 };
 
@@ -75,10 +72,10 @@ SatResult SolvePortfolio(const Cnf& cnf, const PortfolioOptions& options = {},
                          PortfolioStats* stats = nullptr);
 
 /// Folds one solver run's counters into the metrics registry
-/// (xvu.sat.runs / propagations / flips / ... and the winner-lane gauge)
-/// — SolvePortfolio does this itself on every path; the legacy
-/// WalkSAT→CDCL chain in the insert translation calls it directly, so
-/// benches read every solver's work from one source of truth.
+/// (xvu.sat.runs / propagations / flips / ... and the winner-lane gauge).
+/// SolvePortfolio calls it on every path, and a bench that runs one
+/// solver alone calls it directly, so benches read every solver run's
+/// work from one source of truth.
 void RecordSatRunMetrics(const SatStats& totals, int winner_lane);
 
 }  // namespace xvu

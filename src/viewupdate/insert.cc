@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "src/common/thread_pool.h"
-#include "src/sat/cdcl.h"
 #include "src/sat/encoder.h"
 #include "src/sat/portfolio.h"
 #include "src/viewupdate/template_index.h"
@@ -176,8 +175,8 @@ struct Translator {
   std::map<std::string, std::unordered_map<Tuple, int64_t, TupleHash>>
       gen_reverse;
 
-  /// Slot index over the new templates (built once after step 1): the
-  /// narrowed replacement for the all-pairs template scan.
+  /// Slot index over the new templates (built once after step 1): narrows
+  /// a join step's template candidates through its narrowing condition.
   TemplateSlotIndex tmpl_slots;
 
   /// ∆V lookup: view -> set of (parent_id, projected row) keys.
@@ -424,8 +423,8 @@ struct JoinFrame {
   const EdgeViewInfo* info;
   size_t forced;
   /// The order the remaining occurrences (every one but `forced`) are
-  /// filled in: visit[depth] is a FROM position. FROM order, or the greedy
-  /// most-constrained-first order when options.reorder_occurrences is set.
+  /// filled in: visit[depth] is a FROM position, most constrained first
+  /// (VisitOrder).
   std::vector<size_t> visit;
   /// fire[depth]: conditions whose endpoints are all filled once
   /// visit[depth] is assigned (the forced occupancy counts as filled from
@@ -445,25 +444,19 @@ struct JoinFrame {
 
 Status EmitCandidate(Translator* t, JoinFrame* f);
 
-/// The order JoinRec fills the non-forced occurrences in. Default: greedy
+/// The order JoinRec fills the non-forced occurrences in: greedy
 /// most-constrained-first — repeatedly take the occurrence narrowable
 /// through a condition against the already-placed set (a constant
 /// selection, an equi-link, or a shared parameter), smallest candidate
 /// set first; occurrences with no link come last (they cross-product).
-/// The enumeration visits the same combinations either way, so the set of
-/// side-effect conditions is order-independent; only enumeration order
-/// (and the clause order of the CNF built from it) changes.
+/// Any order visits the same combinations, so the set of side-effect
+/// conditions is order-independent; only enumeration order (and the
+/// clause order of the CNF built from it) depends on it.
 std::vector<size_t> VisitOrder(const Translator& t, const SpjQuery& q,
                                size_t forced) {
   const size_t n = q.tables().size();
   std::vector<size_t> order;
   order.reserve(n - 1);
-  if (!t.options.reorder_occurrences) {
-    for (size_t pos = 0; pos < n; ++pos) {
-      if (pos != forced) order.push_back(pos);
-    }
-    return order;
-  }
   // Candidate-set size: base rows, plus the new templates this occurrence
   // may draw from (only occurrences after `forced` in FROM order do).
   auto est = [&](size_t occ) {
@@ -693,11 +686,11 @@ Status JoinRec(Translator* t, JoinFrame* f, size_t depth) {
   // from U; before `forced`, base only — that combination is covered when
   // that occurrence is itself the forced one). With a narrowing condition
   // the slot index prunes to the templates whose slot can still equal the
-  // narrow value (concrete match or free slot) — the all-pairs scan would
-  // have rejected every other template through the same condition, so the
-  // pruned enumeration is result-identical but near-linear in |∆V|.
+  // narrow value (concrete match or free slot): every other template
+  // fails that same condition, so the enumeration stays near-linear in
+  // |∆V|. Without one, every new template of the table is a candidate.
   if (occ > f->forced) {
-    if (t->options.use_template_index && have_narrow) {
+    if (have_narrow) {
       for (size_t ti : t->tmpl_slots.Candidates(table, narrow_col,
                                                 narrow_val)) {
         XVU_RETURN_NOT_OK(try_row(SymRow{nullptr, &t->templates[ti]}));
@@ -734,8 +727,7 @@ Status EmitCandidate(Translator* t, JoinFrame* f) {
     binds.push_back(ParamBind{c.param_idx, s});
   }
   if (t->aborted.load(std::memory_order_relaxed)) return Status::OK();
-  // A complete assignment is a unit of symbolic work too (without the
-  // template index the cross-template pairs all land here), so it counts
+  // A complete assignment is a unit of symbolic work too, so it counts
   // against the cap like the join steps above.
   if (t->candidates_examined.fetch_add(1, std::memory_order_relaxed) + 1 >
       t->options.max_symbolic_candidates) {
@@ -1078,31 +1070,13 @@ Result<InsertTranslation> TranslateGroupInsertion(
   std::vector<bool> model;
   if (!t.negative_conditions.empty()) {
     out.used_sat = true;
-    SatResult res;
     auto sat_t0 = std::chrono::steady_clock::now();
-    if (options.use_portfolio) {
-      PortfolioOptions popts = options.portfolio;
-      if (popts.deadline.infinite()) popts.deadline = options.deadline;
-      PortfolioStats pstats;
-      res = SolvePortfolio(enc.cnf(), popts, &pstats);
-      out.sat_stats = pstats.totals;
-      out.sat_winner_lane = pstats.winner_lane;
-    } else if (options.use_walksat) {
-      WalkSatOptions wopts = options.walksat;
-      if (wopts.deadline.infinite()) wopts.deadline = options.deadline;
-      res = SolveWalkSat(enc.cnf(), wopts, &out.sat_stats);
-      if (res.kind != SatResult::Kind::kSat && options.dpll_fallback) {
-        CdclOptions copts;
-        copts.deadline = options.deadline;
-        res = SolveCdcl(enc.cnf(), copts, &out.sat_stats);
-      }
-      RecordSatRunMetrics(out.sat_stats, -1);
-    } else {
-      CdclOptions copts;
-      copts.deadline = options.deadline;
-      res = SolveCdcl(enc.cnf(), copts, &out.sat_stats);
-      RecordSatRunMetrics(out.sat_stats, -1);
-    }
+    PortfolioOptions popts = options.portfolio;
+    if (popts.deadline.infinite()) popts.deadline = options.deadline;
+    PortfolioStats pstats;
+    SatResult res = SolvePortfolio(enc.cnf(), popts, &pstats);
+    out.sat_stats = pstats.totals;
+    out.sat_winner_lane = pstats.winner_lane;
     out.sat_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       sat_t0)

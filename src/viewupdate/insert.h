@@ -7,7 +7,6 @@
 #include "src/common/status.h"
 #include "src/relational/database.h"
 #include "src/sat/portfolio.h"
-#include "src/sat/walksat.h"
 #include "src/viewupdate/delete.h"
 #include "src/viewupdate/view_store.h"
 
@@ -16,41 +15,18 @@ namespace xvu {
 class ThreadPool;
 
 struct InsertOptions {
-  /// Solve the side-effect encoding with the SAT portfolio (K diversified
-  /// WalkSAT lanes racing one complete CDCL lane, src/sat/portfolio.h).
-  /// Deterministic by default: the fixed-priority winner makes the
-  /// translation bit-identical for any lane count or timing. Disable to
-  /// fall back to the legacy serial walksat -> complete-solver chain
-  /// below (A/B benchmarking).
-  bool use_portfolio = true;
+  /// The SAT portfolio that solves the side-effect encoding: K
+  /// diversified WalkSAT lanes (lane 0 is the paper's WalkSAT) racing one
+  /// complete CDCL lane (src/sat/portfolio.h). Its fixed-priority winner
+  /// makes the translation bit-identical for any lane count or timing.
   PortfolioOptions portfolio;
-  /// Legacy chain (use_portfolio = false): solve with WalkSAT (the
-  /// paper's choice).
-  bool use_walksat = true;
-  /// On WalkSAT kUnknown, retry with the complete solver before
-  /// rejecting. Disable to mirror the paper's 78%-success behaviour.
-  bool dpll_fallback = true;
-  WalkSatOptions walksat;
   /// Safety cap on symbolic join work; exceeded => Rejected.
   size_t max_symbolic_candidates = 200000;
-  /// Narrow the symbolic join's template candidates through a hash index
-  /// keyed on (table, column) -> concrete slot value (TemplateSlotIndex)
-  /// instead of trying every new template against every occurrence
-  /// (all-pairs, quadratic in |∆V|). Results are identical — the index
-  /// only skips templates whose concrete slot fails the same equality the
-  /// join condition would have checked. Disable for A/B benchmarking only.
-  bool use_template_index = true;
-  /// Fill the symbolic join's occurrences most-constrained-first (greedy:
-  /// prefer occurrences narrowable through a condition against the rows
-  /// already placed, smallest candidate set first) instead of FROM order.
-  /// The set of side-effect conditions found is the same either way; only
-  /// the enumeration order — and hence CNF clause order — changes.
-  bool reorder_occurrences = true;
-  /// Wall-clock budget threaded into every solver lane (portfolio or the
-  /// legacy chain). When the solver gives up and the deadline has
-  /// expired, the translation returns kDeadlineExceeded instead of the
-  /// usual kRejected, so callers can tell "budget ran out" from
-  /// "probably untranslatable". Default infinite: no behaviour change.
+  /// Wall-clock budget threaded into every solver lane. When the solver
+  /// gives up and the deadline has expired, the translation returns
+  /// kDeadlineExceeded instead of the usual kRejected, so callers can
+  /// tell "budget ran out" from "probably untranslatable". Default
+  /// infinite: no behaviour change.
   Deadline deadline;
 };
 
@@ -65,8 +41,8 @@ struct InsertTranslation {
   size_t num_candidates = 0;   ///< symbolic join work items examined
   bool used_sat = false;       ///< a solver run was needed
   /// Solver observability (zero when used_sat is false): aggregated lane
-  /// counters, the portfolio winner (-1 none/legacy-chain; 0..K-1 WalkSAT
-  /// lane; K CDCL lane) and the solver wall time.
+  /// counters, the portfolio winner (-1 none; 0..K-1 WalkSAT lane; K CDCL
+  /// lane) and the solver wall time.
   SatStats sat_stats;
   int sat_winner_lane = -1;
   double sat_seconds = 0;
@@ -94,8 +70,9 @@ struct InsertTranslation {
 ///     when `pool` is non-null the passes run concurrently, with per-pass
 ///     outputs merged in the serial enumeration order (bit-identical
 ///     results for any worker count).
-///  3. SAT: solve with WalkSAT (Theorem 4 gives the correspondence);
-///     reject when no assignment is found.
+///  3. SAT: solve with the portfolio, whose lane 0 is the paper's WalkSAT
+///     (Theorem 4 gives the correspondence); reject when no assignment is
+///     found.
 ///  4. ∆R derivation: instantiate the new templates from the model; free
 ///     infinite-domain variables receive fresh values outside the active
 ///     domain.

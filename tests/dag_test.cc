@@ -10,6 +10,7 @@
 #include "src/dag/dag_view.h"
 #include "src/dag/reachability.h"
 #include "src/dag/topo_order.h"
+#include "tests/oracles/reachability_naive.h"
 #include "tests/test_util.h"
 
 namespace xvu {
@@ -143,7 +144,7 @@ TEST(Reachability, MatchesNaiveOnRandomDags) {
     auto topo = TopoOrder::Compute(dag);
     ASSERT_TRUE(topo.ok());
     Reachability fast = Reachability::Compute(dag, *topo);
-    Reachability naive = Reachability::ComputeNaive(dag);
+    Reachability naive = NaiveReachability(dag);
     EXPECT_TRUE(fast == naive) << "seed " << seed;
   }
 }
@@ -419,10 +420,10 @@ TEST(Reachability, RowModelFuzzMatchesPairSetReference) {
 
     // Finally replace every ancestor row with that of a random DAG's
     // closure over the same ids: whatever the fuzzed state, the bulk
-    // replacement must land exactly on ComputeNaive, descendant rows and
-    // size included.
+    // replacement must land exactly on the naive closure, descendant rows
+    // and size included.
     DagView dag = RandomDag(kFuzzIds, 0.1, seed);
-    Reachability naive = Reachability::ComputeNaive(dag);
+    Reachability naive = NaiveReachability(dag);
     std::vector<std::pair<NodeId, Reachability::Row>> rows;
     for (NodeId v = 0; v < kFuzzIds; ++v) {
       rows.emplace_back(v, naive.Ancestors(v));

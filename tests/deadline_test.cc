@@ -23,6 +23,7 @@
 #include "src/viewupdate/minimal_delete.h"
 #include "src/workload/registrar.h"
 #include "src/xpath/parser.h"
+#include "tests/test_util.h"
 
 namespace xvu {
 namespace {
@@ -47,10 +48,7 @@ std::unique_ptr<UpdateSystem> MakeSystem(
   return std::move(*sys);
 }
 
-std::string StripCache(const std::string& fp) {
-  size_t at = fp.rfind("[cache]");
-  return at == std::string::npos ? fp : fp.substr(0, at);
-}
+using testing_util::StripCache;
 
 // ---------------------------------------------------------------- Deadline
 
@@ -289,7 +287,6 @@ TEST(DeadlineDegradation, PortfolioDegradesToInlineOnSpawnFailure) {
   // Big enough to take the threaded path (> inline_below_clauses).
   Cnf cnf = HardRandomCnf(60, 200, 11);
   PortfolioOptions opts;
-  opts.deterministic = true;
 
   PortfolioStats clean_stats;
   SatResult clean = SolvePortfolio(cnf, opts, &clean_stats);
@@ -306,8 +303,8 @@ TEST(DeadlineDegradation, PortfolioDegradesToInlineOnSpawnFailure) {
 
   EXPECT_TRUE(degraded_stats.degraded_spawn);
   EXPECT_FALSE(degraded_stats.threaded);
-  // Deterministic mode: the degraded inline solve returns the identical
-  // result (same fixed-priority winner rule).
+  // The degraded inline solve returns the identical result (same
+  // fixed-priority winner rule).
   EXPECT_EQ(degraded.kind, clean.kind);
   EXPECT_EQ(degraded.model, clean.model);
   EXPECT_EQ(degraded_stats.winner_lane, clean_stats.winner_lane);
@@ -316,7 +313,6 @@ TEST(DeadlineDegradation, PortfolioDegradesToInlineOnSpawnFailure) {
 TEST(DeadlineDegradation, PortfolioDeadlineCapsEveryLane) {
   Cnf cnf = HardRandomCnf(200, 860, 3);  // near-threshold hard instance
   PortfolioOptions opts;
-  opts.deterministic = true;
   opts.deadline = Deadline::After(-1);
   PortfolioStats stats;
   SatResult res = SolvePortfolio(cnf, opts, &stats);
@@ -327,17 +323,14 @@ TEST(DeadlineDegradation, PortfolioDeadlineCapsEveryLane) {
 TEST(DeadlineDegradation, PortfolioZeroBudgetExpiresAndFarFutureDoesNot) {
   Cnf cnf = HardRandomCnf(60, 200, 11);
   PortfolioOptions opts;
-  opts.deterministic = true;
 
   // After(0) is already expired — same give-up path as a negative budget.
   opts.deadline = Deadline::After(0);
   SatResult expired = SolvePortfolio(cnf, opts);
   EXPECT_EQ(expired.kind, SatResult::Kind::kUnknown);
 
-  // A far-future budget must be indistinguishable from no deadline in
-  // deterministic mode.
+  // A far-future budget must be indistinguishable from no deadline.
   PortfolioOptions no_deadline;
-  no_deadline.deterministic = true;
   SatResult unbounded = SolvePortfolio(cnf, no_deadline);
   opts.deadline = Deadline::After(3600);
   SatResult far = SolvePortfolio(cnf, opts);

@@ -29,6 +29,7 @@
 #include "src/core/system.h"
 #include "src/workload/registrar.h"
 #include "src/xpath/parser.h"
+#include "tests/test_util.h"
 
 namespace xvu {
 namespace {
@@ -61,14 +62,9 @@ void ExpectConsistent(UpdateSystem& sys) {
   EXPECT_TRUE(sys.topo().Check(sys.dag()).ok());
 }
 
-/// Drops the trailing [cache] section: a rejected op deliberately keeps
-/// its snapshot-version evaluations cached (a resubmit hits them), so
-/// the pre-op/post-fault comparison excludes the cache. The retry-vs-
-/// reference comparison keeps it.
-std::string StripCache(const std::string& fp) {
-  size_t at = fp.rfind("[cache]");
-  return at == std::string::npos ? fp : fp.substr(0, at);
-}
+// The pre-op/post-fault comparison excludes the cache (StripCache); the
+// retry-vs-reference comparison keeps it.
+using testing_util::StripCache;
 
 /// Sites where an injected fault is *absorbed*: the op still succeeds,
 /// degraded (the batch maintenance merge falls back to a full rebuild).

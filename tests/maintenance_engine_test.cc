@@ -13,6 +13,7 @@
 #include "src/dag/maintenance_engine.h"
 #include "src/workload/registrar.h"
 #include "src/xpath/parser.h"
+#include "tests/oracles/reachability_naive.h"
 #include "tests/test_util.h"
 
 namespace xvu {
@@ -88,7 +89,7 @@ std::vector<MutOp> RandomBatch(DagView* probe, Rng* rng, uint64_t uid_base) {
       NodeId u = live[rng->Below(live.size())];
       NodeId v = live[rng->Below(live.size())];
       if (u == v || probe->HasEdge(u, v)) continue;
-      Reachability naive = Reachability::ComputeNaive(*probe);
+      Reachability naive = NaiveReachability(*probe);
       if (v == u || naive.IsAncestor(v, u) || v == probe->root()) continue;
       MutOp edge;
       edge.kind = MutOp::Kind::kAddEdge;
@@ -153,7 +154,7 @@ TEST(MaintenanceEngineFuzz, IncrementalMergeMatchesFullRebuild) {
       ASSERT_EQ(inc_dag.num_nodes(), full_dag.num_nodes()) << ctx;
       // (b) Full-matrix compare: merged M == rebuilt M == naive oracle.
       ASSERT_TRUE(inc_engine.reach() == full_engine.reach()) << ctx;
-      ASSERT_TRUE(inc_engine.reach() == Reachability::ComputeNaive(inc_dag))
+      ASSERT_TRUE(inc_engine.reach() == NaiveReachability(inc_dag))
           << ctx;
       // (c) L bit-identical (the merge re-derives it with the same Kahn
       // pass) and valid.

@@ -25,9 +25,9 @@ std::unique_ptr<UpdateSystem> MakeSyntheticSystem(
   return std::move(*sys);
 }
 
-TEST(Options, DpllOnlySolverAcceptsSatisfiableBuddyInsert) {
+TEST(Options, CdclOnlyPortfolioAcceptsSatisfiableBuddyInsert) {
   UpdateSystem::Options opts;
-  opts.insert.use_walksat = false;  // complete solver only
+  opts.insert.portfolio.walksat_lanes = 0;  // complete solver only
   auto sys = MakeSyntheticSystem(opts);
   Status st =
       sys->ApplyStatement("insert B(777777) into //C[cid=\"3\"]/buddies");
@@ -35,23 +35,10 @@ TEST(Options, DpllOnlySolverAcceptsSatisfiableBuddyInsert) {
   EXPECT_TRUE(sys->last_stats().used_sat);
 }
 
-TEST(Options, WalkSatWithoutFallbackRejectsUnsat) {
+TEST(Options, CdclLaneProvesUnsat) {
+  // Every group is mixed, so no assignment exists; the portfolio's
+  // complete CDCL lane proves it.
   UpdateSystem::Options opts;
-  opts.insert.use_walksat = true;
-  opts.insert.dpll_fallback = false;
-  opts.insert.walksat.max_tries = 2;
-  opts.insert.walksat.max_flips = 500;
-  auto sys = MakeSyntheticSystem(opts, /*g_uniform_prob=*/0.0);
-  // Every group is mixed: provably unsatisfiable; WalkSAT gives up.
-  Status st =
-      sys->ApplyStatement("insert B(777777) into //C[cid=\"3\"]/buddies");
-  EXPECT_TRUE(st.IsRejected()) << st.ToString();
-}
-
-TEST(Options, DpllFallbackProvesUnsat) {
-  UpdateSystem::Options opts;
-  opts.insert.use_walksat = true;
-  opts.insert.dpll_fallback = true;
   auto sys = MakeSyntheticSystem(opts, /*g_uniform_prob=*/0.0);
   Status st =
       sys->ApplyStatement("insert B(777777) into //C[cid=\"3\"]/buddies");

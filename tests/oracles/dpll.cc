@@ -1,8 +1,6 @@
-#include "src/sat/dpll.h"
+#include "tests/oracles/dpll.h"
 
 #include <vector>
-
-#include "src/sat/cdcl.h"
 
 namespace xvu {
 
@@ -92,8 +90,6 @@ struct DpllState {
 };
 
 }  // namespace
-
-SatResult SolveDpll(const Cnf& cnf) { return SolveCdcl(cnf); }
 
 SatResult SolveDpllRecursive(const Cnf& cnf) {
   DpllState st;

@@ -7,8 +7,10 @@
 #include "src/core/pipeline.h"
 #include "src/core/system.h"
 #include "src/workload/registrar.h"
+#include "src/workload/synthetic.h"
 #include "src/xpath/normal_form.h"
 #include "src/xpath/parser.h"
+#include "tests/test_util.h"
 
 namespace xvu {
 namespace {
@@ -344,6 +346,70 @@ TEST(Pipeline, TextualStatementsViaAdd) {
   Status st = sys->ApplyBatch(batch);
   ASSERT_TRUE(st.ok()) << st.ToString();
   ExpectConsistent(*sys);
+}
+
+// A rejection that is correct, pinned down with its reason. On the
+// default |C| = 2000 synthetic dataset, C 1555 passes the C-F filter and
+// has no H children. A batch inserts two leaves under it; a second batch
+// deletes both. Algorithm delete removes F(1555), the one source both
+// edges share whose loss has no other effect, and leaves H(1555, x) and
+// CU(x) in place. Every later insertion under that parent needs F(1555)
+// back, and re-inserting it re-joins those rows: the deleted leaves would
+// reappear in edge_sub_C. No insertion-only ∆R avoids that, so the insert
+// must be rejected, and the rejection must leave the state untouched.
+TEST(Pipeline, ReinsertUnderParentEmptiedByDeleteIsRejected) {
+  SyntheticSpec spec;
+  spec.num_c = 2000;
+  auto db = MakeSyntheticDatabase(spec);
+  ASSERT_TRUE(db.ok());
+  auto atg = MakeSyntheticAtg(*db);
+  ASSERT_TRUE(atg.ok());
+  auto created = UpdateSystem::Create(std::move(*atg), std::move(*db));
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  UpdateSystem& sys = **created;
+  const Tuple parent = {Value::Int(1555)};
+  auto apply = [&](const std::vector<std::string>& stmts) {
+    UpdateBatch batch;
+    for (const std::string& stmt : stmts) {
+      Status st = batch.Add(stmt, sys.atg());
+      if (!st.ok()) return st;
+    }
+    return sys.ApplyBatch(batch);
+  };
+  auto base_has = [&](const char* table, const Tuple& key) {
+    return sys.database().GetTable(table)->FindByKey(key) != nullptr;
+  };
+  ASSERT_TRUE(base_has("F", parent));
+
+  const std::string under = "C[cid=\"1555\"]/sub";
+  Status st = apply({"insert C(900001, 1) into " + under,
+                     "insert C(900002, 2) into " + under});
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  st = apply({"delete " + under + "/C[cid=\"900001\"]",
+              "delete " + under + "/C[cid=\"900002\"]"});
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  ExpectConsistent(sys);
+  EXPECT_FALSE(base_has("F", parent));
+  for (int64_t leaf : {900001, 900002}) {
+    EXPECT_TRUE(base_has("H", {Value::Int(1555), Value::Int(leaf)})) << leaf;
+    EXPECT_TRUE(base_has("CU", {Value::Int(leaf)})) << leaf;
+  }
+
+  const std::string before =
+      testing_util::StripCache(sys.DebugFingerprint());
+  st = apply({"insert C(900003, 3) into " + under});
+  ASSERT_TRUE(st.IsRejected()) << st.ToString();
+  EXPECT_NE(st.message().find("certain side effect: view edge_sub_C would "
+                              "gain unrequested row"),
+            std::string::npos)
+      << st.ToString();
+  EXPECT_TRUE(st.message().find("900001") != std::string::npos ||
+              st.message().find("900002") != std::string::npos)
+      << st.ToString();
+  // Only the eval cache may differ: the rejected batch keeps its forward
+  // patch of C[cid="1555"]/sub's entry (PathEvalCache::RollbackScope).
+  // EXPECT_TRUE, not EXPECT_EQ: a mismatch would print megabytes.
+  EXPECT_TRUE(testing_util::StripCache(sys.DebugFingerprint()) == before);
 }
 
 }  // namespace

@@ -57,8 +57,8 @@ Cnf Pigeonhole() {
   return cnf;
 }
 
-/// The sequential semantics deterministic mode promises: WalkSAT lane 0,
-/// then CDCL — computed without any portfolio machinery.
+/// The sequential semantics the winner rule promises: WalkSAT lane 0, then
+/// CDCL — computed without any portfolio machinery.
 SatResult SequentialOracle(const Cnf& cnf, const PortfolioOptions& opts) {
   if (opts.walksat_lanes > 0) {
     SatResult ws = SolveWalkSat(cnf, opts.walksat);
@@ -81,16 +81,12 @@ TEST(Portfolio, SatModelValidThreaded) {
   EXPECT_GE(stats.winner_lane, 0);
 }
 
-TEST(Portfolio, UnsatBothModes) {
+TEST(Portfolio, UnsatThreaded) {
   Cnf cnf = UnsatXorChain();
-  for (bool deterministic : {true, false}) {
-    PortfolioOptions opts;
-    opts.deterministic = deterministic;
-    opts.inline_below_clauses = 0;
-    PortfolioStats stats;
-    EXPECT_EQ(SolvePortfolio(cnf, opts, &stats).kind,
-              SatResult::Kind::kUnsat);
-  }
+  PortfolioOptions opts;
+  opts.inline_below_clauses = 0;
+  PortfolioStats stats;
+  EXPECT_EQ(SolvePortfolio(cnf, opts, &stats).kind, SatResult::Kind::kUnsat);
 }
 
 TEST(Portfolio, InlineFastPathMatchesThreaded) {
@@ -109,9 +105,8 @@ TEST(Portfolio, InlineFastPathMatchesThreaded) {
 }
 
 TEST(Portfolio, DeterministicBitIdentityAcrossLaneCounts) {
-  // The acceptance-bar fuzz: for ANY lane count the deterministic-mode
-  // (kind, model) must be bit-identical — and equal to the sequential
-  // lane0-then-CDCL oracle.
+  // The acceptance-bar fuzz: for ANY lane count the (kind, model) must be
+  // bit-identical — and equal to the sequential lane0-then-CDCL oracle.
   Rng rng(4242);
   for (int inst = 0; inst < 25; ++inst) {
     int nv = 10 + static_cast<int>(rng.Below(15));
@@ -137,39 +132,16 @@ TEST(Portfolio, CancellationStopsLosingLanes) {
   // the test only terminates promptly because the CDCL lane's kUnsat
   // fires the shared cancel token and every WalkSAT inner loop polls it.
   Cnf cnf = UnsatXorChain();
-  for (bool deterministic : {true, false}) {
-    PortfolioOptions opts;
-    opts.deterministic = deterministic;
-    opts.inline_below_clauses = 0;
-    opts.walksat_lanes = 4;
-    opts.walksat.max_tries = 1000000;
-    opts.walksat.max_flips = 100000000;
-    PortfolioStats stats;
-    SatResult r = SolvePortfolio(cnf, opts, &stats);
-    EXPECT_EQ(r.kind, SatResult::Kind::kUnsat);
-    EXPECT_GE(stats.lanes_cancelled, 1u);
-    EXPECT_EQ(stats.winner_lane, static_cast<int>(opts.walksat_lanes));
-  }
-}
-
-TEST(Portfolio, RacingReturnsDefinitiveResult) {
-  Rng rng(333);
-  for (int inst = 0; inst < 10; ++inst) {
-    Cnf cnf = Random3Cnf(&rng, 18, 70);
-    PortfolioOptions opts;
-    opts.deterministic = false;
-    opts.inline_below_clauses = 0;
-    PortfolioStats stats;
-    SatResult r = SolvePortfolio(cnf, opts, &stats);
-    // Racing may be won by any lane, but the verdict must be definitive
-    // and correct (model satisfies; unsat only from the complete lane).
-    ASSERT_NE(r.kind, SatResult::Kind::kUnknown) << "instance " << inst;
-    if (r.kind == SatResult::Kind::kSat) {
-      EXPECT_TRUE(cnf.IsSatisfiedBy(r.model)) << "instance " << inst;
-    } else {
-      EXPECT_EQ(stats.winner_lane, static_cast<int>(opts.walksat_lanes));
-    }
-  }
+  PortfolioOptions opts;
+  opts.inline_below_clauses = 0;
+  opts.walksat_lanes = 4;
+  opts.walksat.max_tries = 1000000;
+  opts.walksat.max_flips = 100000000;
+  PortfolioStats stats;
+  SatResult r = SolvePortfolio(cnf, opts, &stats);
+  EXPECT_EQ(r.kind, SatResult::Kind::kUnsat);
+  EXPECT_GE(stats.lanes_cancelled, 1u);
+  EXPECT_EQ(stats.winner_lane, static_cast<int>(opts.walksat_lanes));
 }
 
 TEST(Portfolio, CdclOnlyConfiguration) {
@@ -193,10 +165,7 @@ TEST(Portfolio, CappedCdclCanReturnUnknown) {
   opts.cdcl.max_conflicts = 1;
   opts.walksat.max_tries = 1;
   opts.walksat.max_flips = 50;
-  for (bool deterministic : {true, false}) {
-    opts.deterministic = deterministic;
-    EXPECT_EQ(SolvePortfolio(cnf, opts).kind, SatResult::Kind::kUnknown);
-  }
+  EXPECT_EQ(SolvePortfolio(cnf, opts).kind, SatResult::Kind::kUnknown);
 }
 
 }  // namespace

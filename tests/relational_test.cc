@@ -348,9 +348,11 @@ TEST(ColumnIndex, CopiedTableRebuildsItsOwnIndexes) {
 
 TEST(SpjEval, CrossProductWhenNoLink) {
   Database db = TwoTableDb();
-  ASSERT_TRUE(db.GetTable("R")->Insert({Value::Int(1), Value::Bool(true)}).ok());
-  ASSERT_TRUE(db.GetTable("S")->Insert({Value::Int(9), Value::Bool(true)}).ok());
-  ASSERT_TRUE(db.GetTable("S")->Insert({Value::Int(8), Value::Bool(true)}).ok());
+  Table* r = db.GetTable("R");
+  Table* s = db.GetTable("S");
+  ASSERT_TRUE(r->Insert({Value::Int(1), Value::Bool(true)}).ok());
+  ASSERT_TRUE(s->Insert({Value::Int(9), Value::Bool(true)}).ok());
+  ASSERT_TRUE(s->Insert({Value::Int(8), Value::Bool(true)}).ok());
   SpjQueryBuilder b(&db);
   auto q = b.From("R", "r")
                .From("S", "s")

@@ -4,9 +4,9 @@
 
 #include "src/common/rng.h"
 #include "src/sat/cdcl.h"
-#include "src/sat/dpll.h"
 #include "src/sat/encoder.h"
 #include "src/sat/walksat.h"
+#include "tests/oracles/dpll.h"
 
 namespace xvu {
 namespace {
@@ -51,13 +51,15 @@ TEST(Cnf, DimacsRendering) {
   EXPECT_NE(d.find("1 -2 0"), std::string::npos);
 }
 
+// The recursive DPLL oracle (tests/oracles) on known answers: the CDCL
+// fuzz below trusts its verdicts.
 TEST(Dpll, SatisfiableAndModelValid) {
   Cnf cnf;
   int32_t a = cnf.NewVar(), b = cnf.NewVar(), c = cnf.NewVar();
   cnf.AddTernary(a, b, c);
   cnf.AddBinary(-a, -b);
   cnf.AddBinary(-b, -c);
-  SatResult r = SolveDpll(cnf);
+  SatResult r = SolveDpllRecursive(cnf);
   ASSERT_EQ(r.kind, SatResult::Kind::kSat);
   EXPECT_TRUE(cnf.IsSatisfiedBy(r.model));
 }
@@ -67,7 +69,7 @@ TEST(Dpll, ProvesUnsat) {
   int32_t a = cnf.NewVar();
   cnf.AddUnit(a);
   cnf.AddUnit(-a);
-  EXPECT_EQ(SolveDpll(cnf).kind, SatResult::Kind::kUnsat);
+  EXPECT_EQ(SolveDpllRecursive(cnf).kind, SatResult::Kind::kUnsat);
 }
 
 TEST(Dpll, UnsatXorChain) {
@@ -81,12 +83,12 @@ TEST(Dpll, UnsatXorChain) {
   add_xor(a, b);
   add_xor(b, c);
   add_xor(a, c);
-  EXPECT_EQ(SolveDpll(cnf).kind, SatResult::Kind::kUnsat);
+  EXPECT_EQ(SolveDpllRecursive(cnf).kind, SatResult::Kind::kUnsat);
 }
 
 TEST(Dpll, EmptyFormulaIsSat) {
   Cnf cnf;
-  EXPECT_EQ(SolveDpll(cnf).kind, SatResult::Kind::kSat);
+  EXPECT_EQ(SolveDpllRecursive(cnf).kind, SatResult::Kind::kSat);
 }
 
 TEST(Cdcl, SatisfiableAndModelValid) {
@@ -177,7 +179,8 @@ TEST(Cdcl, AgreesWithRecursiveDpllOnRandomCnf) {
   Rng rng(1234);
   for (int inst = 0; inst < 120; ++inst) {
     int nv = 8 + static_cast<int>(rng.Below(10));
-    int nc = 2 * nv + static_cast<int>(rng.Below(static_cast<uint64_t>(3 * nv)));
+    int nc = 2 * nv +
+             static_cast<int>(rng.Below(static_cast<uint64_t>(3 * nv)));
     bool mixed = inst % 2 == 0;
     Cnf cnf = RandomCnf(&rng, nv, nc, mixed);
     SatResult oracle = SolveDpllRecursive(cnf);
@@ -240,9 +243,9 @@ TEST(WalkSat, EmptyClauseIsUnsat) {
   EXPECT_EQ(SolveWalkSat(cnf).kind, SatResult::Kind::kUnsat);
 }
 
-TEST(WalkSat, AgreesWithDpllOnRandom3Sat) {
+TEST(WalkSat, AgreesWithCdclOnRandom3Sat) {
   // Random 3-SAT at a modest clause/variable ratio: WalkSAT must find a
-  // model whenever DPLL proves one exists.
+  // model whenever CDCL proves one exists.
   Rng rng(77);
   for (int inst = 0; inst < 30; ++inst) {
     Cnf cnf;
@@ -257,7 +260,7 @@ TEST(WalkSat, AgreesWithDpllOnRandom3Sat) {
       }
       cnf.AddClause(std::move(clause));
     }
-    SatResult exact = SolveDpll(cnf);
+    SatResult exact = SolveCdcl(cnf);
     if (exact.kind == SatResult::Kind::kSat) {
       SatResult ws = SolveWalkSat(cnf);
       ASSERT_EQ(ws.kind, SatResult::Kind::kSat) << "instance " << inst;
@@ -302,7 +305,7 @@ TEST(Encoder, BoolDomainSingleVariable) {
   Lit lf = enc.EqConst(x, Value::Bool(false));
   EXPECT_EQ(lt, -lf);
   enc.AddClause({lt});
-  SatResult r = SolveDpll(enc.cnf());
+  SatResult r = SolveCdcl(enc.cnf());
   ASSERT_EQ(r.kind, SatResult::Kind::kSat);
   auto v = enc.Decode(x, r.model);
   ASSERT_TRUE(v.ok());
@@ -314,7 +317,7 @@ TEST(Encoder, OutOfDomainConstantIsFalse) {
   auto x = enc.AddVar({Value::Bool(false), Value::Bool(true)});
   Lit l = enc.EqConst(x, Value::Int(3));
   enc.AddClause({l});  // forces the constant-false literal: unsat
-  EXPECT_EQ(SolveDpll(enc.cnf()).kind, SatResult::Kind::kUnsat);
+  EXPECT_EQ(SolveCdcl(enc.cnf()).kind, SatResult::Kind::kUnsat);
 }
 
 TEST(Encoder, OneHotDomain) {
@@ -323,7 +326,7 @@ TEST(Encoder, OneHotDomain) {
   auto x = enc.AddVar(dom);
   enc.AddClause({-enc.EqConst(x, Value::Int(1))});
   enc.AddClause({-enc.EqConst(x, Value::Int(3))});
-  SatResult r = SolveDpll(enc.cnf());
+  SatResult r = SolveCdcl(enc.cnf());
   ASSERT_EQ(r.kind, SatResult::Kind::kSat);
   auto v = enc.Decode(x, r.model);
   ASSERT_TRUE(v.ok());
@@ -336,7 +339,7 @@ TEST(Encoder, EqVarForcesEquality) {
   auto y = enc.AddVar({Value::Bool(false), Value::Bool(true)});
   enc.AddClause({enc.EqVar(x, y)});
   enc.AddClause({enc.EqConst(x, Value::Bool(true))});
-  SatResult r = SolveDpll(enc.cnf());
+  SatResult r = SolveCdcl(enc.cnf());
   ASSERT_EQ(r.kind, SatResult::Kind::kSat);
   auto vy = enc.Decode(y, r.model);
   ASSERT_TRUE(vy.ok());
@@ -349,7 +352,7 @@ TEST(Encoder, NegatedEqVarForcesInequality) {
   auto y = enc.AddVar({Value::Bool(false), Value::Bool(true)});
   enc.AddClause({-enc.EqVar(x, y)});
   enc.AddClause({enc.EqConst(x, Value::Bool(false))});
-  SatResult r = SolveDpll(enc.cnf());
+  SatResult r = SolveCdcl(enc.cnf());
   ASSERT_EQ(r.kind, SatResult::Kind::kSat);
   auto vy = enc.Decode(y, r.model);
   ASSERT_TRUE(vy.ok());
@@ -361,7 +364,7 @@ TEST(Encoder, DisjointDomainsNeverEqual) {
   auto x = enc.AddVar({Value::Int(1)});
   auto y = enc.AddVar({Value::Int(2)});
   enc.AddClause({enc.EqVar(x, y)});
-  EXPECT_EQ(SolveDpll(enc.cnf()).kind, SatResult::Kind::kUnsat);
+  EXPECT_EQ(SolveCdcl(enc.cnf()).kind, SatResult::Kind::kUnsat);
 }
 
 TEST(Encoder, EqVarCached) {
@@ -380,7 +383,7 @@ TEST(Encoder, MixedDomainEquality) {
   auto y = enc.AddVar({Value::Int(2), Value::Int(3), Value::Int(4)});
   enc.AddClause({enc.EqVar(x, y)});
   enc.AddClause({-enc.EqConst(x, Value::Int(2))});
-  SatResult r = SolveDpll(enc.cnf());
+  SatResult r = SolveCdcl(enc.cnf());
   ASSERT_EQ(r.kind, SatResult::Kind::kSat);
   auto vx = enc.Decode(x, r.model);
   auto vy = enc.Decode(y, r.model);

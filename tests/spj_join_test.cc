@@ -1,18 +1,21 @@
-// Randomized oracle for the partitioned hash-join backend: against random
-// schemas, data (small value domains, so duplicate join keys abound) and
-// queries — equi links, constants, parameters, non-equi (!=) links, empty
-// tables, self-joins — the hash-join pipeline must return WitnessedRow
-// sequences BIT-IDENTICAL to the nested-loop reference backend: same
-// projected rows, same per-occurrence sources, same order.
+// Randomized oracle for the partitioned hash-join evaluator: against
+// random schemas, data (small value domains, so duplicate join keys
+// abound) and queries — equi links, constants, parameters, non-equi (!=)
+// links, empty tables, self-joins — the hash-join pipeline must return
+// WitnessedRow sequences BIT-IDENTICAL to the nested-loop reference
+// evaluator (tests/oracles): same projected rows, same per-occurrence
+// sources, same order.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/relational/spj.h"
 #include "src/viewupdate/view_store.h"
+#include "tests/oracles/spj_nested_loop.h"
 
 namespace xvu {
 namespace {
@@ -29,6 +32,18 @@ void ExpectIdentical(const std::vector<SpjQuery::WitnessedRow>& hash,
           << what << " row " << i << " source " << s;
     }
   }
+}
+
+/// The projected rows of `rows`, first occurrences only: what
+/// SpjQuery::Eval returns for the same evaluation.
+std::vector<Tuple> DistinctProjected(
+    const std::vector<SpjQuery::WitnessedRow>& rows) {
+  std::vector<Tuple> out;
+  std::unordered_set<Tuple, TupleHash> seen;
+  for (const SpjQuery::WitnessedRow& wr : rows) {
+    if (seen.insert(wr.projected).second) out.push_back(wr.projected);
+  }
+  return out;
 }
 
 /// Three base tables, arity 3 each: k (int key), v (int, small domain),
@@ -104,9 +119,6 @@ RandomQuery MakeRandomQuery(const Database& db, Rng* rng) {
 
 TEST(SpjJoinOracle, HashJoinMatchesNestedLoopBitIdentically) {
   Rng rng(20260809);
-  SpjExecOptions hash;  // default backend
-  SpjExecOptions ref;
-  ref.backend = SpjExecOptions::Backend::kNestedLoop;
   for (int iter = 0; iter < 80; ++iter) {
     Database db = RandomDb(&rng, 30);
     RandomQuery rq = MakeRandomQuery(db, &rng);
@@ -114,24 +126,20 @@ TEST(SpjJoinOracle, HashJoinMatchesNestedLoopBitIdentically) {
     if (rq.num_params > 0) params.push_back(Value::Int(rng.Range(0, 4)));
     std::string what = "iter " + std::to_string(iter) + ": " +
                        rq.q.ToString();
-    auto h = rq.q.EvalWithWitness(db, params, hash);
-    auto n = rq.q.EvalWithWitness(db, params, ref);
+    auto h = rq.q.EvalWithWitness(db, params);
+    auto n = EvalNestedLoop(rq.q, db, params);
     ASSERT_TRUE(h.ok()) << h.status().ToString() << "\n" << what;
     ASSERT_TRUE(n.ok()) << n.status().ToString() << "\n" << what;
     ExpectIdentical(*h, *n, what);
     // Eval (deduplicated projection) must agree too.
-    auto he = rq.q.Eval(db, params, hash);
-    auto ne = rq.q.Eval(db, params, ref);
-    ASSERT_TRUE(he.ok() && ne.ok()) << what;
-    EXPECT_EQ(*he, *ne) << what;
+    auto he = rq.q.Eval(db, params);
+    ASSERT_TRUE(he.ok()) << what;
+    EXPECT_EQ(*he, DistinctProjected(*n)) << what;
   }
 }
 
 TEST(SpjJoinOracle, PinnedEvaluationMatches) {
   Rng rng(777);
-  SpjExecOptions hash;
-  SpjExecOptions ref;
-  ref.backend = SpjExecOptions::Backend::kNestedLoop;
   for (int iter = 0; iter < 60; ++iter) {
     Database db = RandomDb(&rng, 25);
     RandomQuery rq = MakeRandomQuery(db, &rng);
@@ -142,36 +150,46 @@ TEST(SpjJoinOracle, PinnedEvaluationMatches) {
     ASSERT_NE(bt, nullptr);
     if (bt->empty()) continue;
     // Pin a random row of that occurrence's table (it need not satisfy
-    // the query's conditions — both backends must agree regardless).
+    // the query's conditions — both evaluators must agree regardless).
     std::vector<Tuple> rows = bt->Rows();
     const Tuple& pinned = rows[rng.Below(rows.size())];
-    auto h = rq.q.EvalWithWitnessPinned(db, params, pos, pinned, hash);
-    auto n = rq.q.EvalWithWitnessPinned(db, params, pos, pinned, ref);
+    auto h = rq.q.EvalWithWitnessPinned(db, params, pos, pinned);
+    auto n = EvalNestedLoop(rq.q, db, params, pos, pinned);
     ASSERT_TRUE(h.ok() && n.ok());
     ExpectIdentical(*h, *n, "pinned iter " + std::to_string(iter));
   }
 }
 
 TEST(SpjJoinOracle, GroupedEvaluationMatches) {
+  // Grouped evaluation drops the parameter predicate and groups by the
+  // bound column; each group must equal the oracle's evaluation with the
+  // parameter bound to the group's key, order included, and the keys
+  // with no rows must be absent. The random queries bind $0 to a column
+  // drawn from [0, 5].
   Rng rng(4242);
-  SpjExecOptions hash;
-  SpjExecOptions ref;
-  ref.backend = SpjExecOptions::Backend::kNestedLoop;
   for (int iter = 0; iter < 40; ++iter) {
     Database db = RandomDb(&rng, 25);
     RandomQuery rq = MakeRandomQuery(db, &rng);
     if (rq.num_params == 0) continue;
-    auto h = rq.q.EvalGroupedByParams(db, hash);
-    auto n = rq.q.EvalGroupedByParams(db, ref);
-    ASSERT_TRUE(h.ok() && n.ok());
-    ASSERT_EQ(h->size(), n->size()) << "iter " << iter;
-    for (const auto& [key, rows] : *n) {
+    auto h = rq.q.EvalGroupedByParams(db);
+    ASSERT_TRUE(h.ok());
+    size_t groups = 0;
+    for (int64_t p = 0; p <= 5; ++p) {
+      Tuple key = {Value::Int(p)};
+      auto n = EvalNestedLoop(rq.q, db, key);
+      ASSERT_TRUE(n.ok());
       auto it = h->find(key);
-      ASSERT_NE(it, h->end()) << "iter " << iter;
-      ExpectIdentical(it->second, rows,
+      if (n->empty()) {
+        EXPECT_EQ(it, h->end()) << "iter " << iter << " key " << p;
+        continue;
+      }
+      ++groups;
+      ASSERT_NE(it, h->end()) << "iter " << iter << " key " << p;
+      ExpectIdentical(it->second, *n,
                       "grouped iter " + std::to_string(iter) + " key " +
-                          TupleToString(key));
+                          std::to_string(p));
     }
+    EXPECT_EQ(h->size(), groups) << "iter " << iter;
   }
 }
 
@@ -215,9 +233,7 @@ TEST(SpjJoinBackend, NonEquiOnlyLinkFallsBackToCrossFilter) {
   ASSERT_TRUE(h.ok());
   EXPECT_GE(stats.fallback_steps, 1u);
   EXPECT_EQ(stats.hash_join_steps, 0u);
-  SpjExecOptions ref;
-  ref.backend = SpjExecOptions::Backend::kNestedLoop;
-  auto n = q->EvalWithWitness(db, {}, ref);
+  auto n = EvalNestedLoop(*q, db, {});
   ASSERT_TRUE(n.ok());
   EXPECT_FALSE(n->empty());  // the != has matches
   ExpectIdentical(*h, *n, "non-equi fallback");
@@ -231,15 +247,12 @@ TEST(SpjJoinBackend, EquiJoinUsesHashOrIndexSteps) {
   ASSERT_TRUE(q.ok());
   SpjExecStats stats;
   SpjExecOptions opts;
-  opts.use_column_indexes = false;  // force build/probe over index probes
   opts.stats = &stats;
   auto h = q->EvalWithWitness(db, {}, opts);
   ASSERT_TRUE(h.ok());
   EXPECT_EQ(stats.hash_join_steps, 1u);
   EXPECT_EQ(stats.fallback_steps, 0u);
-  SpjExecOptions ref;
-  ref.backend = SpjExecOptions::Backend::kNestedLoop;
-  auto n = q->EvalWithWitness(db, {}, ref);
+  auto n = EvalNestedLoop(*q, db, {});
   ASSERT_TRUE(n.ok());
   ExpectIdentical(*h, *n, "equi build/probe");
 }
@@ -258,9 +271,7 @@ TEST(SpjJoinBackend, SmallOuterUsesIndexProbeJoin) {
   // 3 bound rows against 4000 candidates: per-binding index probes win.
   EXPECT_EQ(stats.index_probe_steps, 1u);
   EXPECT_GT(stats.index_probes, 0u);
-  SpjExecOptions ref;
-  ref.backend = SpjExecOptions::Backend::kNestedLoop;
-  auto n = q->EvalWithWitness(db, {}, ref);
+  auto n = EvalNestedLoop(*q, db, {});
   ASSERT_TRUE(n.ok());
   EXPECT_FALSE(n->empty());
   ExpectIdentical(*h, *n, "index-probe join");
@@ -274,15 +285,12 @@ TEST(SpjJoinBackend, RadixPartitioningKicksInOnLargeSides) {
   ASSERT_TRUE(q.ok());
   SpjExecStats stats;
   SpjExecOptions opts;
-  opts.use_column_indexes = false;
   opts.partition_min_rows = 64;  // shrink so the test stays fast
   opts.stats = &stats;
   auto h = q->EvalWithWitness(db, {}, opts);
   ASSERT_TRUE(h.ok());
   EXPECT_GT(stats.partitions, 1u);
-  SpjExecOptions ref;
-  ref.backend = SpjExecOptions::Backend::kNestedLoop;
-  auto n = q->EvalWithWitness(db, {}, ref);
+  auto n = EvalNestedLoop(*q, db, {});
   ASSERT_TRUE(n.ok());
   ExpectIdentical(*h, *n, "partitioned join");
 }
@@ -303,10 +311,8 @@ TEST(SpjJoinBackend, ErrorMessagesMatchNestedLoopPath) {
   SpjQueryBuilder b(&db);
   auto q = b.From("R", "r").WhereParam("r.b", 0).Select("r.a", "ra").Build();
   ASSERT_TRUE(q.ok());
-  SpjExecOptions ref;
-  ref.backend = SpjExecOptions::Backend::kNestedLoop;
   auto h = q->EvalWithWitness(db, {});
-  auto n = q->EvalWithWitness(db, {}, ref);
+  auto n = EvalNestedLoop(*q, db, {});
   ASSERT_FALSE(h.ok());
   ASSERT_FALSE(n.ok());
   EXPECT_EQ(h.status().message(), n.status().message());

@@ -25,9 +25,9 @@ TEST(Synthetic, GeneratorShape) {
   EXPECT_EQ(db->GetTable("F")->size(), spec.num_c);
   // Every id in [2, universe] has 1 + Bernoulli(share_prob) parents.
   EXPECT_GE(db->GetTable("H")->size(), spec.num_c - 1);
+  const double cu_rows = static_cast<double>(db->GetTable("CU")->size());
   EXPECT_LE(db->GetTable("H")->size(),
-            static_cast<size_t>(static_cast<double>(db->GetTable("CU")->size()) *
-                                (1.0 + spec.share_prob) * 1.2));
+            static_cast<size_t>(cu_rows * (1.0 + spec.share_prob) * 1.2));
   EXPECT_GE(db->GetTable("CU")->size(), spec.num_c);
   // h1 < h2 everywhere (acyclicity), h2 within the universe.
   int64_t universe = static_cast<int64_t>(db->GetTable("CU")->size());

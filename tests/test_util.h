@@ -34,6 +34,15 @@ inline DagView RandomDag(size_t n, double extra_edge_prob, uint64_t seed) {
   return dag;
 }
 
+/// Drops the trailing [cache] section of UpdateSystem::DebugFingerprint:
+/// a rejected op deliberately keeps its snapshot-version evaluations
+/// cached (a resubmit hits them; PathEvalCache::RollbackScope), so a
+/// pre-op/post-rejection comparison excludes the cache.
+inline std::string StripCache(const std::string& fp) {
+  size_t at = fp.rfind("[cache]");
+  return at == std::string::npos ? fp : fp.substr(0, at);
+}
+
 }  // namespace testing_util
 }  // namespace xvu
 
