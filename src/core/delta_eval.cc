@@ -4,6 +4,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "src/core/filter_eval.h"
 #include "src/xpath/normal_form.h"
 
 namespace xvu {
@@ -37,105 +38,6 @@ bool FilterIsMonotone(const FilterExpr& q) {
   return false;
 }
 
-/// Exact per-node filter evaluation against the current DAG — val(q, v)
-/// restricted to the handful of nodes a patch touches, instead of the
-/// evaluator's whole-view bitmap pass. Memoized per filter across the
-/// nodes of one patch.
-class NodeFilterEval {
- public:
-  NodeFilterEval(const DagView& dag, const Reachability& reach)
-      : dag_(dag), reach_(reach) {}
-
-  bool Eval(const FilterExpr& q, NodeId v) {
-    switch (q.kind()) {
-      case FilterExpr::Kind::kLabelEq:
-        return dag_.node(v).type == q.label();
-      case FilterExpr::Kind::kAnd:
-        return Eval(*q.lhs(), v) && Eval(*q.rhs(), v);
-      case FilterExpr::Kind::kOr:
-        return Eval(*q.lhs(), v) || Eval(*q.rhs(), v);
-      case FilterExpr::Kind::kNot:
-        return !Eval(*q.lhs(), v);
-      case FilterExpr::Kind::kPath:
-      case FilterExpr::Kind::kPathEq: {
-        PerFilter& pf = Cached(q);
-        const std::string* text =
-            q.kind() == FilterExpr::Kind::kPathEq ? &q.value() : nullptr;
-        return Match(&pf, 0, v, text);
-      }
-    }
-    return false;
-  }
-
- private:
-  struct PerFilter {
-    NormalPath np;
-    /// (step, node) -> matched; keyed step * capacity + node.
-    std::unordered_map<uint64_t, bool> memo;
-  };
-
-  PerFilter& Cached(const FilterExpr& q) {
-    auto it = filters_.find(&q);
-    if (it == filters_.end()) {
-      it = filters_.emplace(&q, PerFilter{Normalize(q.path()), {}}).first;
-    }
-    return it->second;
-  }
-
-  /// exists-semantics of the suffix pf->np.steps[i..] from v, with the
-  /// optional string-value comparison at the end — the per-node analogue
-  /// of XPathEvaluator::EvalPathExists.
-  bool Match(PerFilter* pf, size_t i, NodeId v, const std::string* text_eq) {
-    if (i == pf->np.steps.size()) {
-      return text_eq == nullptr || dag_.TextOf(v) == *text_eq;
-    }
-    uint64_t key = static_cast<uint64_t>(i) * dag_.capacity() + v;
-    auto mit = pf->memo.find(key);
-    if (mit != pf->memo.end()) return mit->second;
-    const NormalStep& s = pf->np.steps[i];
-    bool r = false;
-    switch (s.kind) {
-      case NormalStep::Kind::kFilter:
-        r = Eval(*s.filter, v) && Match(pf, i + 1, v, text_eq);
-        break;
-      case NormalStep::Kind::kLabel:
-        for (NodeId c : dag_.children(v)) {
-          if (dag_.node(c).type == s.label && Match(pf, i + 1, c, text_eq)) {
-            r = true;
-            break;
-          }
-        }
-        break;
-      case NormalStep::Kind::kWildcard:
-        for (NodeId c : dag_.children(v)) {
-          if (Match(pf, i + 1, c, text_eq)) {
-            r = true;
-            break;
-          }
-        }
-        break;
-      case NormalStep::Kind::kDescOrSelf:
-        if (Match(pf, i + 1, v, text_eq)) {
-          r = true;
-        } else {
-          for (NodeId d : reach_.Descendants(v)) {
-            if (Match(pf, i + 1, d, text_eq)) {
-              r = true;
-              break;
-            }
-          }
-        }
-        break;
-    }
-    pf->memo.emplace(key, r);
-    return r;
-  }
-
-  const DagView& dag_;
-  const Reachability& reach_;
-  std::unordered_map<const FilterExpr*, PerFilter> filters_;
-};
-
 /// Exact general patcher for windows containing removals (and for
 /// non-monotone paths, whose filters may flip in either direction even
 /// under additions). Processes the trace level by level: a candidate set
@@ -150,8 +52,7 @@ class NodeFilterEval {
 /// joined at changed-edge endpoints — closing over the *current* M from
 /// those endpoints (plus the previous level's flips) covers every node
 /// whose old-graph relationship to the change region is gone.
-bool PatchEvalGeneral(const DagView& dag, const TopoOrder& topo,
-                      const Reachability& reach,
+bool PatchEvalGeneral(const DagView& dag, const Reachability& reach,
                       const std::vector<DagDelta>& journal,
                       CachedEval* entry) {
   const size_t n = entry->np.steps.size();
@@ -210,7 +111,7 @@ bool PatchEvalGeneral(const DagView& dag, const TopoOrder& topo,
     }
   }
 
-  NodeFilterEval filter_eval(dag, reach);
+  NodeFilterEval filter_eval(dag);
   DenseNodeSet dirty(cap);  // membership flips at the previous level
   for (size_t i = 0; i < n; ++i) {
     const NormalStep& s = entry->np.steps[i];
@@ -313,7 +214,7 @@ bool PatchEvalGeneral(const DagView& dag, const TopoOrder& topo,
     dirty = std::move(next_dirty);
   }
 
-  XPathEvaluator ev(&dag, &topo, &reach);
+  XPathEvaluator ev(&dag, &reach);
   entry->result = ev.FinishFromTrace(entry->np, entry->reached);
   return true;
 }
@@ -329,8 +230,7 @@ bool PathIsMonotone(const NormalPath& np) {
   return true;
 }
 
-bool TryPatchEval(const DagView& dag, const TopoOrder& topo,
-                  const Reachability& reach,
+bool TryPatchEval(const DagView& dag, const Reachability& reach,
                   const std::vector<DagDelta>& journal, CachedEval* entry) {
   // Past this window size a fresh evaluation is competitive with the
   // patch's per-entry work; don't bother.
@@ -351,7 +251,7 @@ bool TryPatchEval(const DagView& dag, const TopoOrder& topo,
   if (!additions_only || !PathIsMonotone(entry->np)) {
     // Removal windows and non-monotone paths take the exact general
     // patcher: the monotone worklist below only ever *adds* members.
-    return PatchEvalGeneral(dag, topo, reach, journal, entry);
+    return PatchEvalGeneral(dag, reach, journal, entry);
   }
 
   std::vector<std::pair<NodeId, NodeId>> added_edges;
@@ -366,7 +266,7 @@ bool TryPatchEval(const DagView& dag, const TopoOrder& topo,
 
   for (DenseNodeSet& s : entry->reached) s.EnsureCapacity(dag.capacity());
 
-  NodeFilterEval filter_eval(dag, reach);
+  NodeFilterEval filter_eval(dag);
   std::deque<std::pair<size_t, NodeId>> work;
   auto add = [&](size_t i, NodeId v) {
     if (!entry->reached[i].Contains(v)) {
@@ -463,7 +363,7 @@ bool TryPatchEval(const DagView& dag, const TopoOrder& topo,
 
   // (4) Re-derive the full result (pruning, side effects, Ep(r)) from the
   // patched trace.
-  XPathEvaluator ev(&dag, &topo, &reach);
+  XPathEvaluator ev(&dag, &reach);
   entry->result = ev.FinishFromTrace(entry->np, entry->reached);
   return true;
 }

@@ -7,7 +7,6 @@
 #include "src/dag/dag_view.h"
 #include "src/dag/journal.h"
 #include "src/dag/reachability.h"
-#include "src/dag/topo_order.h"
 
 namespace xvu {
 
@@ -23,10 +22,10 @@ namespace xvu {
 ///    nodes and edges can only enlarge every reached[i], so a worklist
 ///    closure over (step, node) pairs — label/wildcard transitions along
 ///    added edges, descendant-axis cone extensions through the maintained
-///    M, and per-node filter re-checks on the ancestors-or-self of the
-///    added edges' parent endpoints (the only nodes whose subtrees, and
-///    hence downward-filter values, changed) — reconstructs the exact
-///    fixpoint of a fresh forward pass.
+///    M, and per-node filter re-checks (NodeFilterEval) on the
+///    ancestors-or-self of the added edges' parent endpoints (the only
+///    nodes whose subtrees, and hence downward-filter values, changed) —
+///    reconstructs the exact fixpoint of a fresh forward pass.
 ///  - Windows containing removals (and paths with negation) take the
 ///    exact general patcher: level by level, a candidate set bounds the
 ///    nodes whose membership can have changed — the previous level's
@@ -46,12 +45,10 @@ namespace xvu {
 /// the window is too large for the patch to be worth it — and the caller
 /// must fall back to a fresh evaluation.
 ///
-/// Preconditions: `topo`/`reach` are the maintained L and M of the
-/// *current* DAG (the engine maintains them before the next batch's
-/// lookups run), and `journal` is exactly JournalSince(the entry's
-/// version).
-bool TryPatchEval(const DagView& dag, const TopoOrder& topo,
-                  const Reachability& reach,
+/// Preconditions: `reach` is the maintained M of the *current* DAG (the
+/// engine maintains it before the next batch's lookups run), and
+/// `journal` is exactly JournalSince(the entry's version).
+bool TryPatchEval(const DagView& dag, const Reachability& reach,
                   const std::vector<DagDelta>& journal, CachedEval* entry);
 
 /// True iff the path's filters are negation-free (recursively, including

@@ -1,109 +1,8 @@
 #include "src/core/evaluator.h"
 
+#include "src/core/filter_eval.h"
+
 namespace xvu {
-
-std::vector<uint8_t> XPathEvaluator::EvalFilter(const FilterExpr& q) const {
-  size_t cap = dag_->capacity();
-  std::vector<uint8_t> val(cap, 0);
-  switch (q.kind()) {
-    case FilterExpr::Kind::kLabelEq: {
-      for (NodeId v : order_->order()) {
-        val[v] = dag_->node(v).type == q.label() ? 1 : 0;
-      }
-      return val;
-    }
-    case FilterExpr::Kind::kAnd: {
-      std::vector<uint8_t> a = EvalFilter(*q.lhs());
-      std::vector<uint8_t> b = EvalFilter(*q.rhs());
-      for (size_t i = 0; i < cap; ++i) val[i] = a[i] && b[i];
-      return val;
-    }
-    case FilterExpr::Kind::kOr: {
-      std::vector<uint8_t> a = EvalFilter(*q.lhs());
-      std::vector<uint8_t> b = EvalFilter(*q.rhs());
-      for (size_t i = 0; i < cap; ++i) val[i] = a[i] || b[i];
-      return val;
-    }
-    case FilterExpr::Kind::kNot: {
-      std::vector<uint8_t> a = EvalFilter(*q.lhs());
-      for (NodeId v : order_->order()) val[v] = !a[v];
-      return val;
-    }
-    case FilterExpr::Kind::kPath:
-      return EvalPathExists(Normalize(q.path()), nullptr);
-    case FilterExpr::Kind::kPathEq: {
-      const std::string& s = q.value();
-      return EvalPathExists(Normalize(q.path()), &s);
-    }
-  }
-  return val;
-}
-
-std::vector<uint8_t> XPathEvaluator::EvalPathExists(
-    const NormalPath& np, const std::string* text_eq) const {
-  size_t cap = dag_->capacity();
-  size_t n = np.steps.size();
-  // exist[i][v]: the suffix starting at step i matches from v.
-  // Computed for i = n down to 0; the base case encodes the optional
-  // string-value comparison.
-  std::vector<uint8_t> next(cap, 0);
-  for (NodeId v : order_->order()) {
-    next[v] = text_eq == nullptr || dag_->TextOf(v) == *text_eq ? 1 : 0;
-  }
-  for (size_t i = n; i > 0; --i) {
-    const NormalStep& s = np.steps[i - 1];
-    std::vector<uint8_t> cur(cap, 0);
-    switch (s.kind) {
-      case NormalStep::Kind::kFilter: {
-        std::vector<uint8_t> fv = EvalFilter(*s.filter);
-        for (NodeId v : order_->order()) cur[v] = fv[v] && next[v];
-        break;
-      }
-      case NormalStep::Kind::kLabel: {
-        for (NodeId v : order_->order()) {
-          for (NodeId c : dag_->children(v)) {
-            if (next[c] && dag_->node(c).type == s.label) {
-              cur[v] = 1;
-              break;
-            }
-          }
-        }
-        break;
-      }
-      case NormalStep::Kind::kWildcard: {
-        for (NodeId v : order_->order()) {
-          for (NodeId c : dag_->children(v)) {
-            if (next[c]) {
-              cur[v] = 1;
-              break;
-            }
-          }
-        }
-        break;
-      }
-      case NormalStep::Kind::kDescOrSelf: {
-        // desc(q, v) = next(v) ∨ ∃ child c: desc(q, c) — the dynamic
-        // program of Section 3.2, evaluated in topological order so every
-        // child is final before its parents are visited.
-        for (NodeId v : order_->order()) {
-          if (next[v]) {
-            cur[v] = 1;
-            continue;
-          }
-          for (NodeId c : dag_->children(v)) {
-            if (cur[c]) {
-              cur[v] = 1;
-              break;
-            }
-          }
-        }
-        break;
-      }
-    }
-    next = std::move(cur);
-  }
-  return next;
-}
 
 std::vector<DenseNodeSet> XPathEvaluator::ForwardPass(
     const NormalPath& np, bool full_trace) const {
@@ -115,6 +14,7 @@ std::vector<DenseNodeSet> XPathEvaluator::ForwardPass(
   // a dead frontier when new structure arrives.
   std::vector<DenseNodeSet> reached;
   reached.reserve(n + 1);
+  NodeFilterEval filters(*dag_);  // memo shared by every filter step
   reached.emplace_back(cap);
   if (dag_->root() != kInvalidNode) reached[0].Add(dag_->root());
   for (size_t i = 0; i < n; ++i) {
@@ -122,15 +22,11 @@ std::vector<DenseNodeSet> XPathEvaluator::ForwardPass(
     const DenseNodeSet& cur = reached[i];
     DenseNodeSet next(cap);
     switch (s.kind) {
-      case NormalStep::Kind::kFilter: {
-        if (!cur.items.empty()) {
-          std::vector<uint8_t> fv = EvalFilter(*s.filter);
-          for (NodeId v : cur.items) {
-            if (fv[v]) next.Add(v);
-          }
+      case NormalStep::Kind::kFilter:
+        for (NodeId v : cur.items) {
+          if (filters.Eval(*s.filter, v)) next.Add(v);
         }
         break;
-      }
       case NormalStep::Kind::kLabel:
       case NormalStep::Kind::kWildcard:
         for (NodeId v : cur.items) {

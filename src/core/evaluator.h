@@ -8,7 +8,7 @@
 #include "src/common/status.h"
 #include "src/dag/dag_view.h"
 #include "src/dag/reachability.h"
-#include "src/dag/topo_order.h"
+#include "src/dag/topo_order.h"  // the compatibility constructor
 #include "src/xpath/ast.h"
 #include "src/xpath/normal_form.h"
 
@@ -75,20 +75,38 @@ struct CachedEval {
   EvalResult result;
 };
 
-/// Two-pass XPath evaluator over a DAG stored as a DagView (Section 3.2):
-/// a bottom-up pass evaluates all filters by dynamic programming over the
-/// topological order L (computing val(q, v) and, for //-rooted path
-/// filters, desc(q, v)), then a top-down pass walks the normalized steps
-/// computing r[[p]], Ep(r) and the side-effect set S. Runs in O(|p|·|V|):
-/// every DAG edge is visited a constant number of times per step.
+/// XPath evaluator over a DAG stored as a DagView (Section 3.2). A
+/// forward pass walks the normalized steps from the root, keeping the
+/// node set reached after each step: label and wildcard steps follow
+/// child edges, `//` steps take each frontier node's row of the
+/// maintained matrix M, and filter steps ask NodeFilterEval
+/// (core/filter_eval.h) about each frontier node. A backward pass then
+/// prunes the trace to the derivations of the selected nodes and derives
+/// r[[p]], Ep(r) and the side-effect set S.
+///
+/// Cost: label and wildcard steps read the children of their frontier.
+/// A `//` step reads the M rows of its frontier, and the backward pass
+/// the ancestor and descendant rows of the pruned sets; each of these is
+/// O(|M|) in the worst case (a frontier holding the root). The filter
+/// steps of one evaluation share one NodeFilterEval, so together they
+/// cost O(|p| · (|V| + |E|)) at most, and a filter asked about a few
+/// nodes reads only their cones. Every step also allocates |V|-byte
+/// masks (its trace level, and a memo per filter-path step). In all,
+/// O(|p| · (|V| + |E| + |M|)).
+///
+/// Evaluate* and FinishFromTrace are const and keep their working state
+/// local, so one evaluator may serve concurrent callers.
 class XPathEvaluator {
  public:
-  /// `order` is the maintained topological order L (descendants first —
-  /// it drives the bottom-up pass); `reach` the maintained matrix M
-  /// (it resolves // steps and the ancestor side-effect checks).
-  XPathEvaluator(const DagView* dag, const TopoOrder* order,
+  /// `reach` is the maintained matrix M of `dag` (it resolves // steps
+  /// and the ancestor side-effect checks).
+  XPathEvaluator(const DagView* dag, const Reachability* reach)
+      : dag_(dag), reach_(reach) {}
+  /// Compatibility overload for xvubench/driver.cc, which still passes
+  /// the topological order L; `order` is ignored.
+  XPathEvaluator(const DagView* dag, const TopoOrder* /*order*/,
                  const Reachability* reach)
-      : dag_(dag), order_(order), reach_(reach) {}
+      : XPathEvaluator(dag, reach) {}
 
   Result<EvalResult> Evaluate(const Path& p) const;
 
@@ -102,24 +120,14 @@ class XPathEvaluator {
   EvalResult FinishFromTrace(const NormalPath& np,
                              const std::vector<DenseNodeSet>& reached) const;
 
-  /// Bottom-up evaluation of a single filter: val(q, v) for every live
-  /// node, indexed by NodeId. Exposed for tests.
-  std::vector<uint8_t> EvalFilter(const FilterExpr& q) const;
-
  private:
   /// The forward phase. With `full_trace` all n+1 sets are materialized
   /// (padded with empties once the frontier dies out) so the trace can be
   /// delta-patched later; without it the pass stops at a dead frontier.
   std::vector<DenseNodeSet> ForwardPass(const NormalPath& np,
                                         bool full_trace) const;
-  /// exists-semantics of a relative (normalized) path from each node.
-  /// When `text_eq` is non-null, the node reached must additionally have
-  /// that string value (the p = "s" comparison).
-  std::vector<uint8_t> EvalPathExists(const NormalPath& np,
-                                      const std::string* text_eq) const;
 
   const DagView* dag_;
-  const TopoOrder* order_;
   const Reachability* reach_;
 };
 

@@ -148,7 +148,6 @@ bool PathEvalCache::LookupCopy(const std::string& key, uint64_t dag_version,
 }
 
 void PathEvalCache::AdoptPatched(const PathEvalCache& from, const DagView& dag,
-                                 const TopoOrder& topo,
                                  const Reachability& reach) {
   // Copy the source entries out under the source's lock (live snapshot
   // readers may still be storing into it), then patch and store without
@@ -169,8 +168,7 @@ void PathEvalCache::AdoptPatched(const PathEvalCache& from, const DagView& dag,
     auto& [entry_version, eval] = stamped;
     bool ok = entry_version == version;
     if (!ok && dag.JournalCovers(entry_version)) {
-      ok = TryPatchEval(dag, topo, reach, dag.JournalSince(entry_version),
-                        &eval);
+      ok = TryPatchEval(dag, reach, dag.JournalSince(entry_version), &eval);
     }
     if (!ok) {
       std::lock_guard<std::mutex> lock(mu_);
@@ -185,7 +183,6 @@ void PathEvalCache::AdoptPatched(const PathEvalCache& from, const DagView& dag,
 
 const EvalResult* PathEvalCache::LookupOrPatch(const std::string& key,
                                                const DagView& dag,
-                                               const TopoOrder& topo,
                                                const Reachability& reach,
                                                Outcome* outcome) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -206,7 +203,7 @@ const EvalResult* PathEvalCache::LookupOrPatch(const std::string& key,
   }
   SaveForScope(it->first);  // the patch below mutates the entry in place
   if (dag.JournalCovers(e.version) &&
-      TryPatchEval(dag, topo, reach, dag.JournalSince(e.version), &e.eval)) {
+      TryPatchEval(dag, reach, dag.JournalSince(e.version), &e.eval)) {
     e.version = dag.version();
     Touch(&e);  // now the newest version: back of the eviction order
     ++stats_.delta_patches;
@@ -415,7 +412,7 @@ Status UpdateSystem::ApplyBatchImpl(const UpdateBatch& batch,
   // the immutable snapshot; (publish) store the results serially in
   // first-occurrence order. Bit-identical for any worker count.
   auto t0 = Clock::now();
-  XPathEvaluator evaluator(&dag_, &engine_.topo(), &engine_.reach());
+  XPathEvaluator evaluator(&dag_, &engine_.reach());
   const uint64_t snapshot_version = dag_.version();
   stats_.workers = pool() != nullptr ? pool()->workers() : 1;
   eval_cache_.Compact();
@@ -450,8 +447,8 @@ Status UpdateSystem::ApplyBatchImpl(const UpdateBatch& batch,
   std::vector<size_t> miss_idx;
   for (size_t d = 0; d < distinct.size(); ++d) {
     distinct[d].ev =
-        eval_cache_.LookupOrPatch(distinct[d].key, dag_, engine_.topo(),
-                                  engine_.reach(), &distinct[d].outcome);
+        eval_cache_.LookupOrPatch(distinct[d].key, dag_, engine_.reach(),
+                                  &distinct[d].outcome);
     if (distinct[d].ev == nullptr) miss_idx.push_back(d);
   }
   stats_.parallel_eval_tasks = miss_idx.size();

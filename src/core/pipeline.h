@@ -86,10 +86,9 @@ class PathEvalCache {
   /// Returns the entry for `key` at the DAG's *current* version: an exact
   /// hit, or a stale entry patched forward through JournalSince(entry
   /// version). nullptr on miss (cold, or stale-and-unpatchable — the
-  /// `outcome` out-param distinguishes). `topo` and `reach` must be the
-  /// maintained L and M of the current DAG version.
+  /// `outcome` out-param distinguishes). `reach` must be the maintained
+  /// M of the current DAG version.
   const EvalResult* LookupOrPatch(const std::string& key, const DagView& dag,
-                                  const TopoOrder& topo,
                                   const Reachability& reach,
                                   Outcome* outcome = nullptr);
 
@@ -114,7 +113,7 @@ class PathEvalCache {
   /// its own lock first. Counts one delta_patch per adopted entry and
   /// one invalidation per drop.
   void AdoptPatched(const PathEvalCache& from, const DagView& dag,
-                    const TopoOrder& topo, const Reachability& reach);
+                    const Reachability& reach);
 
   /// Stores (replacing any entry for `key`) and returns the stored result.
   /// The CachedEval overload retains the forward trace and is patchable

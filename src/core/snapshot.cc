@@ -81,7 +81,7 @@ Result<EvalResult> Snapshot::Eval(const Path& p) const {
     return out;
   }
   XVU_OBS_COUNT("xvu.snapshot.eval.memo_misses", 1);
-  XPathEvaluator ev(&state_->dag, &state_->topo, &state_->reach);
+  XPathEvaluator ev(&state_->dag, &state_->reach);
   XVU_ASSIGN_OR_RETURN(CachedEval fresh, ev.EvaluateTraced(p));
   out = fresh.result;
   // Both racers evaluated the same immutable state, so either store

@@ -11,15 +11,14 @@
 #include "src/core/pipeline.h"
 #include "src/dag/dag_view.h"
 #include "src/dag/reachability.h"
-#include "src/dag/topo_order.h"
 #include "src/xpath/ast.h"
 
 namespace xvu {
 
 /// Immutable state of one published read epoch — everything a reader
 /// needs to evaluate paths at that version without touching the live
-/// system: the DAG, the maintained L and M, and a reader-shared memo of
-/// path evaluations. Built once per epoch transition by
+/// system: the DAG, the maintained M, and a reader-shared memo of path
+/// evaluations. Built once per epoch transition by
 /// UpdateSystem::AcquireSnapshot and shared by every Snapshot pinning
 /// the epoch; after publication only `cache` mutates, and PathEvalCache
 /// serializes itself internally, so concurrent readers need no further
@@ -27,7 +26,6 @@ namespace xvu {
 struct SnapshotState {
   uint64_t epoch = 0;
   DagView dag;
-  TopoOrder topo;
   Reachability reach;
   /// Lazily filled per-epoch eval memo. Entries are always stamped at
   /// `epoch`; on an epoch transition the survivors are carried into the
@@ -74,7 +72,6 @@ class Snapshot {
 
   uint64_t epoch() const { return state_->epoch; }
   const DagView& dag() const { return state_->dag; }
-  const TopoOrder& topo() const { return state_->topo; }
   const Reachability& reachability() const { return state_->reach; }
   /// The epoch's shared eval memo (hit/miss/carry-forward accounting).
   const PathEvalCache& eval_cache() const { return state_->cache; }

@@ -66,13 +66,11 @@ Snapshot UpdateSystem::AcquireSnapshot() {
     auto state = std::make_shared<SnapshotState>();
     state->epoch = dag_.version();
     state->dag = dag_;
-    state->topo = engine_.topo();
     state->reach = engine_.reach();
     if (published_ != nullptr) {
       // Carry the previous epoch's eval memo forward through the ∆V
       // journal so hot paths stay warm across epochs.
-      state->cache.AdoptPatched(published_->cache, state->dag, state->topo,
-                                state->reach);
+      state->cache.AdoptPatched(published_->cache, state->dag, state->reach);
       XVU_OBS_COUNT("xvu.snapshot.carry_forwards", 1);
     }
     published_ = std::move(state);
@@ -89,7 +87,7 @@ Result<DagView> UpdateSystem::Republish() const {
 }
 
 Result<EvalResult> UpdateSystem::Query(const Path& p) const {
-  XPathEvaluator ev(&dag_, &engine_.topo(), &engine_.reach());
+  XPathEvaluator ev(&dag_, &engine_.reach());
   return ev.Evaluate(p);
 }
 

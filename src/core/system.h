@@ -207,8 +207,8 @@ class UpdateSystem {
   /// system lock: the handle owns an immutable shared copy of the
   /// epoch's state, so a writer never waits on an evaluation.
   /// Acquisition itself holds `commit_mu_`, so it waits out a writer
-  /// batch in progress. The first acquire after a commit copies the DAG,
-  /// L and M into a new shared state (about 22 ms at |C| = 5000 — 22.7k
+  /// batch in progress. The first acquire after a commit copies the DAG
+  /// and M into a new shared state (about 17–21 ms at |C| = 5000 — 22.7k
   /// nodes, 240k M pairs — on a 4-vCPU VM); later acquires of the same
   /// epoch reuse it. The state's eval memo is carried across epochs by
   /// ∆V-journal patching. Writers retire an epoch's journal window only

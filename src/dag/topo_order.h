@@ -11,8 +11,8 @@ namespace xvu {
 
 /// The topological order L of Section 3.1: a list of all DAG nodes such
 /// that u precedes v only if u is NOT an ancestor of v — i.e. descendants
-/// come first, ancestors later (the direction required by Algorithm Reach's
-/// backward scan and by the bottom-up filter pass).
+/// come first, ancestors later (the direction required by Algorithm
+/// Reach's backward scan).
 class TopoOrder {
  public:
   TopoOrder() = default;

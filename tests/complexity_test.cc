@@ -4,6 +4,7 @@
 #include <chrono>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -25,9 +26,49 @@ double TimeSeconds(const std::function<void()>& fn) {
       .count();
 }
 
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
 // Growth-ratio checks are inherently noisy; the assertions below use very
 // loose factors and only guard against an accidental quadratic (or worse)
-// blow-up of the advertised near-linear algorithms.
+// blow-up of the advertised near-linear algorithms. Each check times its
+// two sides back to back in every one of kGrowthReps repetitions and
+// compares the medians, so both sides see the same load. One sample of a
+// side repeats its call until kMinSampleSeconds have passed and reports
+// the time per call: a scheduler time slice lost on a loaded machine then
+// stretches both sides alike, instead of landing whole on one short call.
+constexpr int kGrowthReps = 5;
+constexpr double kMinSampleSeconds = 0.02;
+
+double SecondsPerCall(const std::function<void()>& fn) {
+  auto t0 = std::chrono::steady_clock::now();
+  int calls = 0;
+  double elapsed = 0;
+  do {
+    fn();
+    ++calls;
+    elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                            t0)
+                  .count();
+  } while (elapsed < kMinSampleSeconds);
+  return elapsed / calls;
+}
+
+struct GrowthTimes {
+  double small = 0, big = 0;
+};
+
+GrowthTimes MedianGrowthTimes(const std::function<void()>& small,
+                              const std::function<void()>& big) {
+  std::vector<double> s, b;
+  for (int rep = 0; rep < kGrowthReps; ++rep) {
+    s.push_back(SecondsPerCall(small));
+    b.push_back(SecondsPerCall(big));
+  }
+  return {Median(std::move(s)), Median(std::move(b))};
+}
 
 TEST(Complexity, ReachScalesNearLinearlyInEdgesTimesNodes) {
   // Sparse random DAGs: |V| ~ n, so Reach is ~ n^2 at worst but its work
@@ -40,51 +81,49 @@ TEST(Complexity, ReachScalesNearLinearlyInEdgesTimesNodes) {
     auto tb = TopoOrder::Compute(big);
     ASSERT_TRUE(ts.ok());
     ASSERT_TRUE(tb.ok());
-    double fast_small = TimeSeconds(
-        [&] { Reachability::Compute(small, *ts); });
-    double fast_big = TimeSeconds([&] { Reachability::Compute(big, *tb); });
+    GrowthTimes t =
+        MedianGrowthTimes([&] { Reachability::Compute(small, *ts); },
+                          [&] { Reachability::Compute(big, *tb); });
     // 4x nodes: allow up to ~40x (quadratic-in-M is expected; this
     // guards against something catastrophically worse).
-    EXPECT_LT(fast_big, std::max(fast_small, 1e-4) * 64)
+    EXPECT_LT(t.big, std::max(t.small, 1e-4) * 64)
         << "Reach grew unreasonably; seed " << seed;
   }
 }
 
+/// A random DAG with its maintained M, for the evaluator checks.
+struct EvalDag {
+  DagView dag;
+  Reachability m;
+
+  explicit EvalDag(DagView d) : dag(std::move(d)) {
+    auto topo = TopoOrder::Compute(dag);
+    EXPECT_TRUE(topo.ok());
+    m = Reachability::Compute(dag, *topo);
+  }
+};
+
 TEST(Complexity, TwoPassEvalLinearInDagSize) {
   Path p = *ParseXPath("//a[b]//b");
-  double t_small, t_big;
-  {
-    DagView dag = RandomDag(2000, 0.2, 5);
-    auto topo = TopoOrder::Compute(dag);
-    ASSERT_TRUE(topo.ok());
-    Reachability m = Reachability::Compute(dag, *topo);
-    XPathEvaluator ev(&dag, &*topo, &m);
-    t_small = TimeSeconds([&] { (void)ev.Evaluate(p); });
-  }
-  {
-    DagView dag = RandomDag(8000, 0.2, 5);
-    auto topo = TopoOrder::Compute(dag);
-    ASSERT_TRUE(topo.ok());
-    Reachability m = Reachability::Compute(dag, *topo);
-    XPathEvaluator ev(&dag, &*topo, &m);
-    t_big = TimeSeconds([&] { (void)ev.Evaluate(p); });
-  }
+  EvalDag small(RandomDag(2000, 0.2, 5));
+  EvalDag big(RandomDag(8000, 0.2, 5));
+  XPathEvaluator ev_small(&small.dag, &small.m);
+  XPathEvaluator ev_big(&big.dag, &big.m);
+  GrowthTimes t = MedianGrowthTimes([&] { (void)ev_small.Evaluate(p); },
+                                    [&] { (void)ev_big.Evaluate(p); });
   // 4x nodes: the // closure makes the result sets bigger, allow 32x.
-  EXPECT_LT(t_big, std::max(t_small, 1e-4) * 32);
+  EXPECT_LT(t.big, std::max(t.small, 1e-4) * 32);
 }
 
 TEST(Complexity, EvalCostGrowsWithQuerySizeLinearly) {
-  DagView dag = RandomDag(3000, 0.2, 9);
-  auto topo = TopoOrder::Compute(dag);
-  ASSERT_TRUE(topo.ok());
-  Reachability m = Reachability::Compute(dag, *topo);
-  XPathEvaluator ev(&dag, &*topo, &m);
+  EvalDag g(RandomDag(3000, 0.2, 9));
+  XPathEvaluator ev(&g.dag, &g.m);
   Path p1 = *ParseXPath("//a[b]");
   Path p4 = *ParseXPath("//a[b]/b[a]/a[b]/b[a]");
-  double t1 = TimeSeconds([&] { (void)ev.Evaluate(p1); });
-  double t4 = TimeSeconds([&] { (void)ev.Evaluate(p4); });
+  GrowthTimes t = MedianGrowthTimes([&] { (void)ev.Evaluate(p1); },
+                                    [&] { (void)ev.Evaluate(p4); });
   // ~4x the steps: allow 16x.
-  EXPECT_LT(t4, std::max(t1, 1e-4) * 16);
+  EXPECT_LT(t.big, std::max(t.small, 1e-4) * 16);
 }
 
 /// A pre-existing cone with small ids hanging off the root, next to a
@@ -182,11 +221,6 @@ struct PairedTimes {
     double p = Median(pass), c = Median(compute);
     EXPECT_LT(p, c) << what << ": median " << p << "s vs Compute " << c
                     << "s";
-  }
-
-  static double Median(std::vector<double> v) {
-    std::sort(v.begin(), v.end());
-    return v[v.size() / 2];
   }
 };
 

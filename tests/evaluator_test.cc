@@ -9,6 +9,7 @@
 #include "src/core/evaluator.h"
 #include "src/workload/registrar.h"
 #include "src/xpath/parser.h"
+#include "tests/oracles/xpath_naive.h"
 #include "tests/test_util.h"
 
 namespace xvu {
@@ -22,121 +23,18 @@ Path P(const std::string& s) {
   return p.ok() ? *p : Path{};
 }
 
-/// Independent oracle: direct recursive evaluation (no topological DP, no
-/// reachability matrix). Because the paper's filters only look downward,
-/// a filter's value at a tree occurrence equals its value at the DAG node,
-/// so the oracle can work on DAG node sets directly.
-class NaiveEval {
- public:
-  explicit NaiveEval(const DagView* dag) : dag_(dag) {}
-
-  std::set<NodeId> Eval(const Path& p) {
-    std::set<NodeId> cur = {dag_->root()};
-    for (const NormalStep& s : Normalize(p).steps) {
-      std::set<NodeId> next;
-      switch (s.kind) {
-        case NormalStep::Kind::kFilter:
-          for (NodeId v : cur) {
-            if (Filter(*s.filter, v)) next.insert(v);
-          }
-          break;
-        case NormalStep::Kind::kLabel:
-          for (NodeId v : cur) {
-            for (NodeId c : dag_->children(v)) {
-              if (dag_->node(c).type == s.label) next.insert(c);
-            }
-          }
-          break;
-        case NormalStep::Kind::kWildcard:
-          for (NodeId v : cur) {
-            for (NodeId c : dag_->children(v)) next.insert(c);
-          }
-          break;
-        case NormalStep::Kind::kDescOrSelf:
-          for (NodeId v : cur) DescOrSelf(v, &next);
-          break;
-      }
-      cur = std::move(next);
-    }
-    return cur;
-  }
-
- private:
-  void DescOrSelf(NodeId v, std::set<NodeId>* out) {
-    if (!out->insert(v).second) return;
-    for (NodeId c : dag_->children(v)) DescOrSelf(c, out);
-  }
-
-  bool Filter(const FilterExpr& q, NodeId v) {
-    switch (q.kind()) {
-      case FilterExpr::Kind::kLabelEq:
-        return dag_->node(v).type == q.label();
-      case FilterExpr::Kind::kAnd:
-        return Filter(*q.lhs(), v) && Filter(*q.rhs(), v);
-      case FilterExpr::Kind::kOr:
-        return Filter(*q.lhs(), v) || Filter(*q.rhs(), v);
-      case FilterExpr::Kind::kNot:
-        return !Filter(*q.lhs(), v);
-      case FilterExpr::Kind::kPath:
-        return !RelEval(q.path(), v).empty();
-      case FilterExpr::Kind::kPathEq: {
-        for (NodeId u : RelEval(q.path(), v)) {
-          if (dag_->TextOf(u) == q.value()) return true;
-        }
-        return false;
-      }
-    }
-    return false;
-  }
-
-  std::set<NodeId> RelEval(const Path& p, NodeId from) {
-    std::set<NodeId> cur = {from};
-    for (const NormalStep& s : Normalize(p).steps) {
-      std::set<NodeId> next;
-      switch (s.kind) {
-        case NormalStep::Kind::kFilter:
-          for (NodeId v : cur) {
-            if (Filter(*s.filter, v)) next.insert(v);
-          }
-          break;
-        case NormalStep::Kind::kLabel:
-          for (NodeId v : cur) {
-            for (NodeId c : dag_->children(v)) {
-              if (dag_->node(c).type == s.label) next.insert(c);
-            }
-          }
-          break;
-        case NormalStep::Kind::kWildcard:
-          for (NodeId v : cur) {
-            for (NodeId c : dag_->children(v)) next.insert(c);
-          }
-          break;
-        case NormalStep::Kind::kDescOrSelf:
-          for (NodeId v : cur) DescOrSelf(v, &next);
-          break;
-      }
-      cur = std::move(next);
-    }
-    return cur;
-  }
-
-  const DagView* dag_;
-};
-
 struct EvalFixture {
   DagView dag;
-  TopoOrder topo;
   Reachability reach;
 
   explicit EvalFixture(DagView d) : dag(std::move(d)) {
-    auto t = TopoOrder::Compute(dag);
-    EXPECT_TRUE(t.ok());
-    topo = std::move(*t);
-    reach = Reachability::Compute(dag, topo);
+    auto topo = TopoOrder::Compute(dag);
+    EXPECT_TRUE(topo.ok());
+    reach = Reachability::Compute(dag, *topo);
   }
 
   std::set<NodeId> Selected(const Path& p) {
-    XPathEvaluator ev(&dag, &topo, &reach);
+    XPathEvaluator ev(&dag, &reach);
     auto r = ev.Evaluate(p);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     return std::set<NodeId>(r->selected.begin(), r->selected.end());
@@ -187,7 +85,7 @@ TEST(Evaluator, Example5ParentEdges) {
   // delete //student[ssn=S02]: S02 is enrolled in CS320 and CS240, so
   // Ep(r) holds both takenBy parents (∆V2 of Example 5).
   EvalFixture f(RegistrarDag());
-  XPathEvaluator ev(&f.dag, &f.topo, &f.reach);
+  XPathEvaluator ev(&f.dag, &f.reach);
   auto r = ev.Evaluate(P("//student[ssn=\"S02\"]"));
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->selected.size(), 1u);
@@ -200,7 +98,7 @@ TEST(Evaluator, Example5ParentEdges) {
 
 TEST(Evaluator, ParentEdgesAfterChildStep) {
   EvalFixture f(RegistrarDag());
-  XPathEvaluator ev(&f.dag, &f.topo, &f.reach);
+  XPathEvaluator ev(&f.dag, &f.reach);
   // CS140 under the prereq of CS320 only (not the CS240 occurrence).
   auto r = ev.Evaluate(
       P("course[cno=\"CS320\"]/prereq/course[cno=\"CS140\"]"));
@@ -214,7 +112,7 @@ TEST(Evaluator, ParentEdgesAfterChildStep) {
 
 TEST(Evaluator, SideEffectsDetectedForSharedSubtrees) {
   EvalFixture f(RegistrarDag());
-  XPathEvaluator ev(&f.dag, &f.topo, &f.reach);
+  XPathEvaluator ev(&f.dag, &f.reach);
   // CS140 below CS320 also hangs under CS240's prereq and the root:
   // updating it through this path has side effects.
   auto r = ev.Evaluate(
@@ -234,7 +132,7 @@ TEST(Evaluator, SideEffectsDetectedForSharedSubtrees) {
 
 TEST(Evaluator, NoFalseSideEffectsOnUnsharedPath) {
   EvalFixture f(RegistrarDag());
-  XPathEvaluator ev(&f.dag, &f.topo, &f.reach);
+  XPathEvaluator ev(&f.dag, &f.reach);
   // The takenBy node of CS650 is unique to CS650.
   auto r = ev.Evaluate(P("course[cno=\"CS650\"]/takenBy"));
   ASSERT_TRUE(r.ok());
@@ -279,7 +177,7 @@ TEST(Evaluator, SelfPathSelectsRoot) {
 
 TEST(Evaluator, MatchesNaiveOracleOnRegistrar) {
   EvalFixture f(RegistrarDag());
-  NaiveEval naive(&f.dag);
+  NaiveXPath naive(&f.dag);
   for (const char* q : {
            "//course", "//student", "course/prereq/course",
            "//course[cno=\"CS320\"]//student",
@@ -299,7 +197,7 @@ TEST(Evaluator, MatchesNaiveOracleOnRegistrar) {
 TEST(Evaluator, MatchesNaiveOracleOnRandomDags) {
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     EvalFixture f(RandomDag(60, 0.4, seed));
-    NaiveEval naive(&f.dag);
+    NaiveXPath naive(&f.dag);
     for (const char* q : {
              "//a", "//b", "a/b", "//a/b", "//a//b", "*",
              "//a[b]", "//b[not(a)]", "//*[label()=a]",

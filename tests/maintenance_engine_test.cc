@@ -170,10 +170,9 @@ TEST(MaintenanceEngineFuzz, IncrementalMergeMatchesFullRebuild) {
       // (e) Evaluation order is canonical: sorted rows make every walk of
       // M independent of the mutation history that built it, so the
       // maintained and the rebuilt M yield identical vectors, order
-      // included, over the same DAG and L.
-      XPathEvaluator on_inc(&inc_dag, &inc_engine.topo(), &inc_engine.reach());
-      XPathEvaluator on_full(&inc_dag, &inc_engine.topo(),
-                             &full_engine.reach());
+      // included, over the same DAG.
+      XPathEvaluator on_inc(&inc_dag, &inc_engine.reach());
+      XPathEvaluator on_full(&inc_dag, &full_engine.reach());
       for (const char* xp : {"//a", "//b//n", "//*[a]//b", "//a[not(b)]//*"}) {
         auto a = on_inc.Evaluate(P(xp));
         auto b = on_full.Evaluate(P(xp));
@@ -296,7 +295,7 @@ TEST(DeltaEvalFuzz, PatchedCacheEntriesMatchFreshEvaluation) {
 
   for (int round = 0; round < 12; ++round) {
     // Snapshot traced evaluations of every pool path.
-    XPathEvaluator evaluator(&sys->dag(), &sys->topo(), &sys->reachability());
+    XPathEvaluator evaluator(&sys->dag(), &sys->reachability());
     uint64_t v0 = sys->dag().version();
     std::vector<CachedEval> cached;
     for (const std::string& xp : kPaths) {
@@ -319,13 +318,12 @@ TEST(DeltaEvalFuzz, PatchedCacheEntriesMatchFreshEvaluation) {
 
     ASSERT_TRUE(sys->dag().JournalCovers(v0));
     std::vector<DagDelta> window = sys->dag().JournalSince(v0);
-    XPathEvaluator fresh_eval(&sys->dag(), &sys->topo(),
-                              &sys->reachability());
+    XPathEvaluator fresh_eval(&sys->dag(), &sys->reachability());
     for (size_t i = 0; i < kPaths.size(); ++i) {
       std::string ctx =
           "round " + std::to_string(round) + " path " + kPaths[i];
-      ASSERT_TRUE(TryPatchEval(sys->dag(), sys->topo(), sys->reachability(),
-                               window, &cached[i]))
+      ASSERT_TRUE(
+          TryPatchEval(sys->dag(), sys->reachability(), window, &cached[i]))
           << ctx << ": insert-only window must be patchable";
       auto fresh = fresh_eval.EvaluateTraced(P(kPaths[i]));
       ASSERT_TRUE(fresh.ok()) << ctx;
@@ -345,7 +343,7 @@ TEST(DeltaEvalFuzz, PatchedCacheEntriesMatchFreshEvaluation) {
 
 TEST(DeltaEval, GeneralPatcherCoversRemovalWindowsAndNegation) {
   auto sys = MakeSystem(MaintenanceStrategy::kAuto);
-  XPathEvaluator evaluator(&sys->dag(), &sys->topo(), &sys->reachability());
+  XPathEvaluator evaluator(&sys->dag(), &sys->reachability());
   uint64_t v0 = sys->dag().version();
   auto traced = evaluator.EvaluateTraced(P("//student"));
   ASSERT_TRUE(traced.ok());
@@ -355,9 +353,8 @@ TEST(DeltaEval, GeneralPatcherCoversRemovalWindowsAndNegation) {
   // cone, matching a fresh evaluation bit-for-bit (as node sets).
   ASSERT_TRUE(sys->ApplyDelete(P("//student[ssn=\"S03\"]")).ok());
   std::vector<DagDelta> window = sys->dag().JournalSince(v0);
-  XPathEvaluator after_del(&sys->dag(), &sys->topo(), &sys->reachability());
-  EXPECT_TRUE(TryPatchEval(sys->dag(), sys->topo(), sys->reachability(),
-                           window, &entry));
+  XPathEvaluator after_del(&sys->dag(), &sys->reachability());
+  EXPECT_TRUE(TryPatchEval(sys->dag(), sys->reachability(), window, &entry));
   auto fresh = after_del.EvaluateTraced(P("//student"));
   ASSERT_TRUE(fresh.ok());
   ExpectSameEval(entry.result, fresh->result, "deletion window");
@@ -366,7 +363,7 @@ TEST(DeltaEval, GeneralPatcherCoversRemovalWindowsAndNegation) {
   // the general patcher — whose per-node filter evaluation is exact, so
   // members flip in both directions correctly.
   uint64_t v1 = sys->dag().version();
-  XPathEvaluator ev2(&sys->dag(), &sys->topo(), &sys->reachability());
+  XPathEvaluator ev2(&sys->dag(), &sys->reachability());
   auto neg = ev2.EvaluateTraced(P("//course[not(takenBy)]"));
   ASSERT_TRUE(neg.ok());
   EXPECT_FALSE(PathIsMonotone(neg->np));
@@ -374,8 +371,8 @@ TEST(DeltaEval, GeneralPatcherCoversRemovalWindowsAndNegation) {
   ASSERT_TRUE(sys->ApplyInsert("student", {S("S90"), S("Neg")},
                                P("//course[cno=\"CS650\"]/takenBy"))
                   .ok());
-  XPathEvaluator ev3(&sys->dag(), &sys->topo(), &sys->reachability());
-  EXPECT_TRUE(TryPatchEval(sys->dag(), sys->topo(), sys->reachability(),
+  XPathEvaluator ev3(&sys->dag(), &sys->reachability());
+  EXPECT_TRUE(TryPatchEval(sys->dag(), sys->reachability(),
                            sys->dag().JournalSince(v1), &neg_entry));
   auto neg_fresh = ev3.EvaluateTraced(P("//course[not(takenBy)]"));
   ASSERT_TRUE(neg_fresh.ok());
@@ -384,7 +381,7 @@ TEST(DeltaEval, GeneralPatcherCoversRemovalWindowsAndNegation) {
   // Still refused: a traceless entry, and an oversized window.
   CachedEval no_trace;
   no_trace.np = neg_entry.np;
-  EXPECT_FALSE(TryPatchEval(sys->dag(), sys->topo(), sys->reachability(),
+  EXPECT_FALSE(TryPatchEval(sys->dag(), sys->reachability(),
                             sys->dag().JournalSince(v1), &no_trace));
 }
 
@@ -411,7 +408,7 @@ TEST(DeltaEvalFuzz, PatchedEntriesMatchFreshEvaluationAcrossDeletions) {
   std::vector<std::string> alive;  // ssns inserted and not yet deleted
 
   for (int round = 0; round < 16; ++round) {
-    XPathEvaluator evaluator(&sys->dag(), &sys->topo(), &sys->reachability());
+    XPathEvaluator evaluator(&sys->dag(), &sys->reachability());
     uint64_t v0 = sys->dag().version();
     std::vector<CachedEval> cached;
     for (const std::string& xp : kPaths) {
@@ -444,13 +441,12 @@ TEST(DeltaEvalFuzz, PatchedEntriesMatchFreshEvaluationAcrossDeletions) {
 
     ASSERT_TRUE(sys->dag().JournalCovers(v0));
     std::vector<DagDelta> window = sys->dag().JournalSince(v0);
-    XPathEvaluator fresh_eval(&sys->dag(), &sys->topo(),
-                              &sys->reachability());
+    XPathEvaluator fresh_eval(&sys->dag(), &sys->reachability());
     for (size_t i = 0; i < kPaths.size(); ++i) {
       std::string ctx =
           "round " + std::to_string(round) + " path " + kPaths[i];
-      ASSERT_TRUE(TryPatchEval(sys->dag(), sys->topo(), sys->reachability(),
-                               window, &cached[i]))
+      ASSERT_TRUE(
+          TryPatchEval(sys->dag(), sys->reachability(), window, &cached[i]))
           << ctx << ": removal window must be patchable";
       auto fresh = fresh_eval.EvaluateTraced(P(kPaths[i]));
       ASSERT_TRUE(fresh.ok()) << ctx;

@@ -2,6 +2,7 @@
 
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -73,7 +74,11 @@ TEST(TemplateSlotIndex, RandomizedCandidatesEqualAllPairsOracle) {
         if (rng.Chance(0.3)) {
           slots.push_back(std::nullopt);  // free (symbolic) slot
         } else {
-          slots.push_back(Value::Int(static_cast<int64_t>(rng.Below(5))));
+          // In-place construction: moving a temporary optional<Value>
+          // into the vector trips gcc 12's -Wmaybe-uninitialized on
+          // std::variant's string member in Release builds.
+          slots.emplace_back(std::in_place,
+                             Value::Int(static_cast<int64_t>(rng.Below(5))));
         }
       }
       idx.Add(table, id, slots);
